@@ -12,7 +12,6 @@ from .characters import (
     euler_class,
     substitute_weights,
     trivial_multiplicity,
-    twist_character,
     virtual_tangent_character,
     virtual_tangent_character_resolution,
 )

@@ -94,11 +94,6 @@ def virtual_tangent_character_resolution(pair: NestedPair):
     return numerator.divide_exact(denom)
 
 
-def twist_character(c, m):
-    """Tensor by the character t1^m[0] t2^m[1]: shift every weight by m."""
-    return c.shift(m)
-
-
 def substitute_weights(c, u, v):
     """Map chart-local weights into the global lattice: t1 -> t^u, t2 -> t^v."""
     det = u[0] * v[1] - u[1] * v[0]

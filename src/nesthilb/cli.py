@@ -1,7 +1,8 @@
 """Command-line front end: single invariants, series tables, verify suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 internal inconsistency (specialization disagreement).  All
+error, 3 localization failure (specializations disagree, or no fresh
+nondegenerate specialization was drawn).  All
 rationals are emitted as decimal strings, never floats, and a fixed
 seed yields byte-identical output.
 """
@@ -16,7 +17,7 @@ import os
 import sys
 
 from . import engine, verify
-from .engine import SpecializationDisagreement
+from .characters import LocalizationError
 from .toric import ToricError, builtin_surface, load_surface_config
 
 DEFAULT_SEED_ENV = "NESTHILB_SEED"
@@ -131,15 +132,14 @@ def cmd_series(args, out):
     )
     closed = engine.closed_form_series(surface, bundle, args.cap) if args.compare else None
     rows = []
-    for n1 in range(args.cap + 1):
-        for n2 in range(min(n1, args.cap - n1) + 1):
-            value = direct.coeff(n1, n2)
-            row = {"n1": n1, "n2": n2, "value": _frac_dict(value)}
-            if closed is not None:
-                cf = closed.coeff(n1, n2)
-                row["closed_form"] = _frac_dict(cf)
-                row["match"] = value == cf
-            rows.append(row)
+    for n1, n2 in engine.series_grid(args.cap):
+        value = direct.coeff(n1, n2)
+        row = {"n1": n1, "n2": n2, "value": _frac_dict(value)}
+        if closed is not None:
+            cf = closed.coeff(n1, n2)
+            row["closed_form"] = _frac_dict(cf)
+            row["match"] = value == cf
+        rows.append(row)
     if args.format == "json":
         payload = {
             "surface": surface.name,
@@ -238,14 +238,11 @@ def main(argv=None, out=None):
         if args.command == "series":
             return cmd_series(args, out)
         return cmd_verify(args, out)
-    except UsageError as exc:
+    except (UsageError, ToricError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ToricError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SpecializationDisagreement as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
+    except LocalizationError as exc:
+        print(f"localization failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
 
 

@@ -20,7 +20,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .characters import (
     DegenerateSpecializationError,
@@ -30,15 +30,9 @@ from .characters import (
     euler_class,
     substitute_weights,
 )
-from .partitions import (
-    EMPTY,
-    NestedPair,
-    Partition,
-    enumerate_nested_pairs,
-    enumerate_partitions,
-)
+from .partitions import enumerate_nested_pairs, enumerate_partitions
 from .series import GradedPoly, Series2, product_formula
-from .toric import ToricSurface, builtin_surface, chern_numbers
+from .toric import builtin_surface, chern_numbers
 
 MAX_REDRAWS = 8
 
@@ -170,11 +164,9 @@ def _graded_integrand(chars_num, chars_den, spec, cap):
     return integrand
 
 
-def _nested_sum(surface, nums, dens, n1, n2, spec, points=None):
+def _nested_sum(surface, nums, dens, n1, n2, spec, points):
     cap = n1 + n2
     total = GradedPoly(cap)
-    if points is None:
-        points = enumerate_global_fixed_points(surface, n1, n2)
     for point in points:
         e = euler_class(_nested_tangent(surface, point), spec)
         outer = tuple(p.outer for p in point.assignment)
@@ -185,7 +177,7 @@ def _nested_sum(surface, nums, dens, n1, n2, spec, points=None):
     return total
 
 
-def _product_sum(surface, tops, nums, dens, n1, n2, spec, points=None):
+def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     """Localization sum over the product of Hilbert schemes.
 
     tops: list of (bundle-or-None, swap) contributing scalar top Chern
@@ -196,8 +188,6 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points=None):
     cap = max((2 - len(tops)) * (n1 + n2), 0)
     top_degree = n1 + n2
     total = GradedPoly(cap)
-    if points is None:
-        points = enumerate_product_fixed_points(surface, n1, n2)
     for tup1, tup2 in points:
         scalar = Fraction(1)
         for bundle, swap in tops:
@@ -214,67 +204,19 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points=None):
     return total
 
 
-# ---------------------------------------------------------------------------
-# parallel helpers
-
-_POOL_STATE = {}
-
-
-def _init_worker(kind, rays, num_coeffs, den_coeffs, top_items, n1, n2, spec):
-    surface = ToricSurface("worker", rays)
-    nums = [surface.line_bundle(c) if c is not None else None for c in num_coeffs]
-    dens = [surface.line_bundle(c) if c is not None else None for c in den_coeffs]
-    tops = [
-        (surface.line_bundle(c) if c is not None else None, swap)
-        for c, swap in top_items
-    ]
-    _POOL_STATE.update(
-        kind=kind, surface=surface, nums=nums, dens=dens, tops=tops, n1=n1, n2=n2, spec=spec
-    )
-
-
-def _worker_chunk(points):
-    s = _POOL_STATE
-    if s["kind"] == "nested":
-        return _nested_sum(s["surface"], s["nums"], s["dens"], s["n1"], s["n2"], s["spec"], points=points)
-    return _product_sum(
-        s["surface"], s["tops"], s["nums"], s["dens"], s["n1"], s["n2"], s["spec"], points=points
-    )
-
-
 def _chunked(seq, chunks):
-    seq = list(seq)
     size = max(1, (len(seq) + chunks - 1) // chunks)
     return [seq[i : i + size] for i in range(0, len(seq), size)]
 
 
-def _parallel_sum(kind, surface, tops, nums, dens, n1, n2, spec, jobs):
+def _parallel_sum(route_sum, points, jobs):
+    """Apply a route sum with everything but `points` bound to all fixed
+    points, or to chunks of them in `jobs` worker processes."""
     if jobs <= 1:
-        if kind == "nested":
-            return _nested_sum(surface, nums, dens, n1, n2, spec)
-        return _product_sum(surface, tops, nums, dens, n1, n2, spec)
-    if kind == "nested":
-        points = enumerate_global_fixed_points(surface, n1, n2)
-    else:
-        points = list(enumerate_product_fixed_points(surface, n1, n2))
-    init_args = (
-        kind,
-        tuple(surface.rays),
-        [m.coeffs if m is not None else None for m in nums],
-        [m.coeffs if m is not None else None for m in dens],
-        [(m.coeffs if m is not None else None, swap) for m, swap in tops],
-        n1,
-        n2,
-        spec,
-    )
-    cap = (n1 + n2) if kind == "nested" else max((2 - len(tops)) * (n1 + n2), 0)
-    total = GradedPoly(cap)
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=init_args
-    ) as pool:
-        for part in pool.map(_worker_chunk, _chunked(points, jobs * 4)):
-            total = total + part
-    return total
+        return route_sum(points)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        parts = list(pool.map(route_sum, _chunked(points, jobs * 4)))
+    return sum(parts[1:], parts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -287,40 +229,63 @@ def draw_specialization(rng):
     return (x, y)
 
 
-def _dual_spec_graded(compute, seed, extract_degree):
+def _dual_spec_graded(compute, seed):
     """Run `compute(spec)` at two agreeing generic specializations.
 
-    Retries degenerate draws up to MAX_REDRAWS times each; checks that the
-    coefficients below extract_degree vanish and that the extracted value
-    is identical at both specializations.
+    A draw that is degenerate or repeats the earlier spec is redrawn, up to
+    MAX_REDRAWS times for each value; checks that the coefficients below
+    the top degree `graded.cap` vanish and that the top coefficient is
+    identical at both specializations.
     """
     rng = random.Random(seed)
     values = []
     specs = []
     for _ in range(2):
-        for attempt in range(MAX_REDRAWS + 1):
+        for _attempt in range(MAX_REDRAWS + 1):
             spec = draw_specialization(rng)
             if spec in specs:
                 continue
             try:
                 graded = compute(spec)
             except DegenerateSpecializationError:
-                if attempt == MAX_REDRAWS:
-                    raise
                 continue
             specs.append(spec)
-            for k in range(extract_degree):
+            for k in range(graded.cap):
                 if graded.coeffs[k] != 0:
                     raise SpecializationDisagreement(
                         f"nonzero sub-degree coefficient at degree {k}"
                     )
-            values.append(graded.coeffs[extract_degree])
+            values.append(graded.coeffs[graded.cap])
             break
+        else:
+            raise DegenerateSpecializationError(
+                f"no fresh nondegenerate specialization in {MAX_REDRAWS + 1} draws"
+            )
     if values[0] != values[1]:
         raise SpecializationDisagreement(
             f"specialization disagreement: {values[0]} != {values[1]}"
         )
     return values[0], specs
+
+
+def _localize(surface, route, nums, dens, n1, n2, seed, jobs, tops=((None, False),)):
+    """The one localization pipeline: returns (value, specializations).
+
+    The integrand is prod c(twist by nums) / prod c(twist by dens).  The
+    product route also multiplies by the top Chern classes in `tops`; its
+    default cuts the product of Hilbert schemes down to the nested locus.
+    """
+    if route == "nested":
+        points = enumerate_global_fixed_points(surface, n1, n2)
+        route_sum = partial(_nested_sum, surface, nums, dens, n1, n2)
+    elif route == "product":
+        points = list(enumerate_product_fixed_points(surface, n1, n2))
+        route_sum = partial(_product_sum, surface, tops, nums, dens, n1, n2)
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    return _dual_spec_graded(
+        lambda spec: _parallel_sum(partial(route_sum, spec), points, jobs), seed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -354,35 +319,18 @@ class InvariantRecord:
 def nested_route_invariant(surface, bundle, n1, n2, seed=0, jobs=1):
     """Integral of the total Chern class of the twisted fiber class
     against the virtual class of the nested Hilbert scheme."""
-    return multi_bundle_invariant(surface, [bundle], [], n1, n2, seed=seed, jobs=jobs, route="nested")
+    return _localize(surface, "nested", [bundle], [], n1, n2, seed, jobs)[0]
 
 
 def product_route_invariant(surface, bundle, n1, n2, seed=0, jobs=1):
     """Same invariant computed on the product of Hilbert schemes, cut down
     by the top Chern class of the untwisted fiber class."""
-    return multi_bundle_invariant(surface, [bundle], [], n1, n2, seed=seed, jobs=jobs, route="product")
+    return _localize(surface, "product", [bundle], [], n1, n2, seed, jobs)[0]
 
 
 def multi_bundle_invariant(surface, nums, dens, n1, n2, seed=0, jobs=1, route="nested"):
     """Invariant with integrand prod c(twist by M_i) / prod c(twist by N_j)."""
-    if route == "nested":
-        if n1 < n2:
-            raise ValueError("empty nesting range")
-
-        def compute(spec):
-            return _parallel_sum("nested", surface, [], nums, dens, n1, n2, spec, jobs)
-
-        value, _ = _dual_spec_graded(compute, seed, n1 + n2)
-        return value
-    if route == "product":
-        tops = [(None, False)]
-
-        def compute(spec):
-            return _parallel_sum("product", surface, tops, nums, dens, n1, n2, spec, jobs)
-
-        value, _ = _dual_spec_graded(compute, seed, n1 + n2)
-        return value
-    raise ValueError(f"unknown route {route!r}")
+    return _localize(surface, route, nums, dens, n1, n2, seed, jobs)[0]
 
 
 def product_route_pairing(surface, bundle1, bundle2, n1, n2, swap_second=True, seed=0, jobs=1):
@@ -391,51 +339,31 @@ def product_route_pairing(surface, bundle1, bundle2, n1, n2, swap_second=True, s
     With swap_second=True the second factor uses the chartwise-swapped
     class (source and target ideals exchanged).
     """
-    tops = [(bundle1, False), (bundle2, swap_second)]
-
-    def compute(spec):
-        return _parallel_sum("product", surface, tops, [], [], n1, n2, spec, jobs)
-
-    value, _ = _dual_spec_graded(compute, seed, 0)
-    return value
+    tops = ((bundle1, False), (bundle2, swap_second))
+    return _localize(surface, "product", [], [], n1, n2, seed, jobs, tops)[0]
 
 
 def invariant_record(surface, bundle, bundle_label, n1, n2, route="nested", seed=0, jobs=1):
     """Compute one invariant and package it with its provenance."""
-
-    if route == "nested":
-        kind, tops = "nested", []
-    else:
-        kind, tops = "product", [(None, False)]
-
-    def compute(spec):
-        return _parallel_sum(kind, surface, tops, [bundle], [], n1, n2, spec, jobs)
-
-    value, specs = _dual_spec_graded(compute, seed, n1 + n2)
-    return InvariantRecord(
-        surface=surface.name,
-        bundle=bundle_label,
-        n1=n1,
-        n2=n2,
-        route=route,
-        value=value,
-        specializations=specs,
-        agreement=True,
-    )
+    value, specs = _localize(surface, route, [bundle], [], n1, n2, seed, jobs)
+    return InvariantRecord(surface.name, bundle_label, n1, n2, route, value, specs)
 
 
 # ---------------------------------------------------------------------------
 # generating series
 
 
+def series_grid(cap):
+    """The (n1, n2) with n1 >= n2 >= 0 and n1 + n2 <= cap, in table order."""
+    return [(n1, n2) for n1 in range(cap + 1) for n2 in range(min(n1, cap - n1) + 1)]
+
+
 def z_nest_series(surface, bundle, cap, seed=0, jobs=1, route="nested"):
-    """Generating series of the invariants over n1 >= n2 >= 0, n1+n2 <= cap."""
-    terms = {}
-    for n1 in range(cap + 1):
-        for n2 in range(min(n1, cap - n1) + 1):
-            terms[(n1, n2)] = multi_bundle_invariant(
-                surface, [bundle], [], n1, n2, seed=seed, jobs=jobs, route=route
-            )
+    """Generating series of the invariants over series_grid(cap)."""
+    terms = {
+        (n1, n2): multi_bundle_invariant(surface, [bundle], [], n1, n2, seed, jobs, route)
+        for n1, n2 in series_grid(cap)
+    }
     return Series2(cap, terms)
 
 

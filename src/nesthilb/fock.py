@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly
-from .series import Series2, product_formula
+from .series import product_formula
 
 
 class FockError(Exception):

@@ -224,11 +224,6 @@ class GradedPoly:
         g.coeffs[0] = Fraction(1)
         return g
 
-    def copy(self):
-        g = GradedPoly(self.cap)
-        g.coeffs = list(self.coeffs)
-        return g
-
     def __eq__(self, other):
         if isinstance(other, GradedPoly):
             return self.cap == other.cap and self.coeffs == other.coeffs

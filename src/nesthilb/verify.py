@@ -17,7 +17,7 @@ from .characters import (
     virtual_tangent_character_resolution,
 )
 from .laurent import LaurentPoly
-from .partitions import Partition, enumerate_nested_pairs
+from .partitions import EMPTY, NestedPair, Partition, enumerate_nested_pairs
 from .toric import builtin_surface, chern_numbers
 
 
@@ -81,25 +81,59 @@ def suite_gottsche(cap=6, seed=0, jobs=1):
     return checks
 
 
+def _grid_check(label, grid, values, names):
+    """Passes when the two numbers values(n1, n2) are equal at every grid point."""
+    bad = []
+    for n1, n2 in grid:
+        a, b = values(n1, n2)
+        if a != b:
+            bad.append(f"({n1},{n2}): {names[0]}={a} {names[1]}={b}")
+    return Check(label, not bad, "; ".join(bad))
+
+
 def suite_nestprod(cap=5, seed=0, jobs=1):
+    grid = engine.series_grid(cap)
+    routes = ("nested", "product")
+
+    def by_route(surface, nums, dens):
+        return lambda n1, n2: [
+            engine.multi_bundle_invariant(surface, nums, dens, n1, n2, seed, jobs, route)
+            for route in routes
+        ]
+
     checks = []
     for name in ("p2", "p1xp1"):
         surface = builtin_surface(name)
         for label, bundle in _surface_bundles(surface):
-            bad = []
-            for n1 in range(cap + 1):
-                for n2 in range(min(n1, cap - n1) + 1):
-                    a = engine.nested_route_invariant(surface, bundle, n1, n2, seed=seed, jobs=jobs)
-                    b = engine.product_route_invariant(surface, bundle, n1, n2, seed=seed, jobs=jobs)
-                    if a != b:
-                        bad.append(f"({n1},{n2}): nested={a} product={b}")
             checks.append(
-                Check(
+                _grid_check(
                     f"route agreement on {name}/{label} up to total degree {cap}",
-                    not bad,
-                    "; ".join(bad),
+                    grid, by_route(surface, [bundle], []), routes,
                 )
             )
+    p2 = builtin_surface("p2")
+    h, o, m2 = p2.line_bundle([1, 0, 0]), p2.structure_sheaf(), p2.line_bundle([0, 1, 1])
+    checks.append(
+        _grid_check(
+            f"ratio [O(1), O(1)]/[O] route agreement on p2 up to total degree {cap}",
+            grid, by_route(p2, [h, h], [o]), routes,
+        )
+    )
+
+    def pairings(n1, n2):
+        swapped = engine.product_route_pairing(p2, h, m2, n1, n2, seed=seed, jobs=jobs)
+        dual = engine.product_route_pairing(
+            p2, h, m2.dual_twist(), n1, n2, swap_second=False, seed=seed, jobs=jobs
+        )
+        return swapped, (-1) ** (n1 + n2) * dual
+
+    checks.append(
+        _grid_check(
+            f"duality sign of the swapped pairing on p2 up to total degree {cap}",
+            [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap - n1 + 1)],
+            pairings, ("swapped", "signed dual"),
+        )
+    )
     return checks
 
 
@@ -110,19 +144,12 @@ def suite_theorem4(cap=5, seed=0, jobs=1):
         for label, bundle in _surface_bundles(surface):
             direct = engine.z_nest_series(surface, bundle, cap, seed=seed, jobs=jobs)
             closed = engine.closed_form_series(surface, bundle, cap)
-            bad = []
-            for n1 in range(cap + 1):
-                for n2 in range(min(n1, cap - n1) + 1):
-                    if direct.coeff(n1, n2) != closed.coeff(n1, n2):
-                        bad.append(
-                            f"({n1},{n2}): direct={direct.coeff(n1, n2)}"
-                            f" closed={closed.coeff(n1, n2)}"
-                        )
             checks.append(
-                Check(
+                _grid_check(
                     f"series matches closed product on {name}/{label} to degree {cap}",
-                    not bad,
-                    "; ".join(bad),
+                    engine.series_grid(cap),
+                    lambda n1, n2: (direct.coeff(n1, n2), closed.coeff(n1, n2)),
+                    ("direct", "closed"),
                 )
             )
     p2 = builtin_surface("p2")
@@ -220,23 +247,20 @@ def suite_oracle(cap=3, seed=0, jobs=1):
             "; ".join(bad[:3]),
         )
     )
-    spot_bad = []
-    for outer in ((4,), (2, 2), (2, 1, 1)):
-        for inner in ((2,), (1, 1)):
-            mu, nu = Partition(outer), Partition(inner)
-            if not mu.contains(nu):
-                continue
-            from .partitions import NestedPair
-
-            pair = NestedPair(mu, nu)
-            if virtual_tangent_character(pair) != virtual_tangent_character_resolution(pair):
-                spot_bad.append(repr(pair))
+    spot_bad = [
+        repr(pair)
+        for n2 in (0, 2, 4)
+        for pair in enumerate_nested_pairs(4, n2)
+        if virtual_tangent_character(pair) != virtual_tangent_character_resolution(pair)
+    ]
     checks.append(
-        Check("spot checks at outer size 4 against the oracle", not spot_bad, "; ".join(spot_bad))
+        Check(
+            "tangent characters match the oracle at outer size 4, inner size 0, 2 or 4",
+            not spot_bad,
+            "; ".join(spot_bad),
+        )
     )
     one = Partition((1,))
-    from .partitions import EMPTY, NestedPair
-
     t_11 = virtual_tangent_character(NestedPair(one, one))
     t_10 = virtual_tangent_character(NestedPair(one, EMPTY))
     checks.append(
@@ -248,12 +272,11 @@ def suite_oracle(cap=3, seed=0, jobs=1):
         )
     )
     rank_bad = []
-    for n1 in range(9):
-        for n2 in range(min(n1, 8 - n1) + 1):
-            for pair in enumerate_nested_pairs(n1, n2):
-                t = virtual_tangent_character(pair)
-                if t.rank() != n1 + n2 or trivial_multiplicity(t):
-                    rank_bad.append(repr(pair))
+    for n1, n2 in engine.series_grid(8):
+        for pair in enumerate_nested_pairs(n1, n2):
+            t = virtual_tangent_character(pair)
+            if t.rank() != n1 + n2 or trivial_multiplicity(t):
+                rank_bad.append(repr(pair))
     checks.append(
         Check(
             "virtual rank n1+n2 and no trivial weight up to total degree 8",

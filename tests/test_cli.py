@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from nesthilb import cli, verify
+from nesthilb import cli, engine, verify
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -144,6 +145,13 @@ def test_bad_bundle_is_usage_error():
         ["integrate", "--surface", "p2", "--bundle", "nope", "--n1", "0", "--n2", "0"]
     )
     assert code == 2
+
+
+def test_localization_failure_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "draw_specialization", lambda rng: (Fraction(1), Fraction(-1)))
+    code, text = run_cli(["integrate", "--surface", "p2", "--n1", "1", "--n2", "0"])
+    assert (code, text) == (cli.EXIT_INCONSISTENT, "")
+    assert capsys.readouterr().err.startswith("localization failure: no fresh nondegenerate")
 
 
 def test_unknown_suite_is_usage_error():

@@ -1,11 +1,14 @@
 """Localization engine: fixed points, dual routes, series, universality."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from nesthilb import engine
+from nesthilb.characters import DegenerateSpecializationError
 from nesthilb.engine import SpecializationDisagreement
+from nesthilb.series import GradedPoly
 from nesthilb.toric import builtin_surface, chern_numbers
 
 P2 = builtin_surface("p2")
@@ -116,11 +119,13 @@ def test_universality_fit_reproduces_generators():
         assert pred.terms == direct.terms
 
 
-def test_parallel_jobs_match_serial():
-    bundle = P2.canonical_bundle()
-    serial = engine.nested_route_invariant(P2, bundle, 2, 1, jobs=1)
-    parallel = engine.nested_route_invariant(P2, bundle, 2, 1, jobs=2)
-    assert serial == parallel
+@pytest.mark.parametrize("invariant", [
+    partial(engine.nested_route_invariant, P2, P2.canonical_bundle()),
+    partial(engine.product_route_invariant, P2, P2.canonical_bundle()),
+    partial(engine.product_route_pairing, P2, P2.canonical_bundle(), P2.canonical_bundle()),
+], ids=["nested", "product", "pairing"])
+def test_parallel_jobs_match_serial(invariant):
+    assert invariant(2, 1, jobs=1) == invariant(2, 1, jobs=2)
 
 
 def test_invariant_record_serialization():
@@ -133,11 +138,10 @@ def test_invariant_record_serialization():
 
 def test_disagreement_surfaces_as_error():
     with pytest.raises(SpecializationDisagreement):
-        engine._dual_spec_graded(
-            lambda spec: _FakeGraded([spec[0]]), seed=0, extract_degree=0
-        )
+        engine._dual_spec_graded(lambda spec: GradedPoly(0, [spec[0]]), seed=0)
 
 
-class _FakeGraded:
-    def __init__(self, coeffs):
-        self.coeffs = [Fraction(c) for c in coeffs]
+def test_repeated_draws_count_as_redraws(monkeypatch):
+    monkeypatch.setattr(engine, "draw_specialization", lambda rng: (Fraction(3), Fraction(5)))
+    with pytest.raises(DegenerateSpecializationError, match="no fresh nondegenerate"):
+        engine._dual_spec_graded(lambda spec: GradedPoly(0, [1]), seed=0)
