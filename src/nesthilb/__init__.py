@@ -24,7 +24,6 @@ from .engine import (
     enumerate_product_fixed_points,
     gottsche_fixed_point_counts,
     gottsche_product_coefficients,
-    gottsche_series,
     invariant_record,
     multi_bundle_invariant,
     nested_route_invariant,

@@ -20,7 +20,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 from .characters import (
     DegenerateSpecializationError,
@@ -30,6 +30,7 @@ from .characters import (
     euler_class,
     substitute_weights,
 )
+from .laurent import LaurentPoly
 from .partitions import enumerate_nested_pairs, enumerate_partitions
 from .series import GradedPoly, Series2, product_formula
 from .toric import builtin_surface, chern_numbers
@@ -111,43 +112,26 @@ def _global_block(u, v, mu_a, mu_b):
     return substitute_weights(block_character(mu_a, mu_b), u, v)
 
 
-def _fiber_character(surface, bundle, tup_a, tup_b, swap=False):
-    """Global character of the twisted fiber class at a product fixed point.
-
-    With swap=False this is the class with source ideals from tup_a and
-    target ideals from tup_b; swap=True exchanges the roles chartwise.
-    """
+def _fiber_character(surface, bundle, tup_a, tup_b):
+    """Global character of the twisted fiber class at a product fixed point,
+    with source ideals from tup_a and target ideals from tup_b."""
     total = None
     for chart in surface.charts:
-        a, b = tup_a[chart.index], tup_b[chart.index]
-        if swap:
-            a, b = b, a
-        block = _global_block(chart.u, chart.v, a, b)
+        block = _global_block(chart.u, chart.v, tup_a[chart.index], tup_b[chart.index])
         if bundle is not None:
             block = block.shift(bundle.weights[chart.index])
         total = block if total is None else total + block
     return total
 
 
-def _nested_tangent(surface, point):
-    total = None
-    for chart, pair in zip(surface.charts, point.assignment):
-        local = (
-            _global_block(chart.u, chart.v, pair.outer, pair.outer)
-            + _global_block(chart.u, chart.v, pair.inner, pair.inner)
-            - _global_block(chart.u, chart.v, pair.outer, pair.inner)
-        )
-        total = local if total is None else total + local
-    return total
-
-
-def _product_tangent(surface, tup1, tup2):
-    total = None
-    for chart in surface.charts:
-        local = _global_block(chart.u, chart.v, tup1[chart.index], tup1[chart.index]) + _global_block(
-            chart.u, chart.v, tup2[chart.index], tup2[chart.index]
-        )
-        total = local if total is None else total + local
+def _integrand_character(surface, nums, dens, tup_a, tup_b):
+    """Twisted fiber characters of nums minus those of dens: the virtual
+    character whose total Chern class is prod c(nums) / prod c(dens)."""
+    total = LaurentPoly.zero()
+    for m in nums:
+        total = total + _fiber_character(surface, m, tup_a, tup_b)
+    for m in dens:
+        total = total - _fiber_character(surface, m, tup_a, tup_b)
     return total
 
 
@@ -155,25 +139,20 @@ def _product_tangent(surface, tup1, tup2):
 # localization sums
 
 
-def _graded_integrand(chars_num, chars_den, spec, cap):
-    integrand = GradedPoly.one(cap)
-    for c in chars_num:
-        integrand = integrand * chern_poly(c, spec, cap)
-    for c in chars_den:
-        integrand = integrand.divide(chern_poly(c, spec, cap))
-    return integrand
-
-
 def _nested_sum(surface, nums, dens, n1, n2, spec, points):
     cap = n1 + n2
     total = GradedPoly(cap)
     for point in points:
-        e = euler_class(_nested_tangent(surface, point), spec)
         outer = tuple(p.outer for p in point.assignment)
         inner = tuple(p.inner for p in point.assignment)
-        chars_num = [_fiber_character(surface, m, outer, inner) for m in nums]
-        chars_den = [_fiber_character(surface, m, outer, inner) for m in dens]
-        total = total + _graded_integrand(chars_num, chars_den, spec, cap) * (1 / e)
+        tangent = (
+            _fiber_character(surface, None, outer, outer)
+            + _fiber_character(surface, None, inner, inner)
+            - _fiber_character(surface, None, outer, inner)
+        )
+        e = euler_class(tangent, spec)
+        integrand = _integrand_character(surface, nums, dens, outer, inner)
+        total = total + chern_poly(integrand, spec, cap) * (1 / e)
     return total
 
 
@@ -181,9 +160,9 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     """Localization sum over the product of Hilbert schemes.
 
     tops: list of (bundle-or-None, swap) contributing scalar top Chern
-    factors of degree n1+n2 each; nums/dens contribute total Chern classes
-    tracked in the formal grading.  The grading degree left for extraction
-    is (2 - len(tops)) * (n1 + n2).
+    factors of degree n1+n2 each, swap exchanging the ideals chartwise;
+    nums/dens contribute total Chern classes tracked in the formal grading.
+    The grading degree left for extraction is (2 - len(tops)) * (n1 + n2).
     """
     cap = max((2 - len(tops)) * (n1 + n2), 0)
     top_degree = n1 + n2
@@ -191,16 +170,20 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     for tup1, tup2 in points:
         scalar = Fraction(1)
         for bundle, swap in tops:
-            char = _fiber_character(surface, bundle, tup1, tup2, swap=swap)
+            source, target = (tup2, tup1) if swap else (tup1, tup2)
+            char = _fiber_character(surface, bundle, source, target)
             scalar *= chern_poly(char, spec, top_degree).coeffs[top_degree]
             if not scalar:
                 break
         if not scalar:
             continue
-        e = euler_class(_product_tangent(surface, tup1, tup2), spec)
-        chars_num = [_fiber_character(surface, m, tup1, tup2) for m in nums]
-        chars_den = [_fiber_character(surface, m, tup1, tup2) for m in dens]
-        total = total + _graded_integrand(chars_num, chars_den, spec, cap) * (scalar / e)
+        tangent = (
+            _fiber_character(surface, None, tup1, tup1)
+            + _fiber_character(surface, None, tup2, tup2)
+        )
+        e = euler_class(tangent, spec)
+        integrand = _integrand_character(surface, nums, dens, tup1, tup2)
+        total = total + chern_poly(integrand, spec, cap) * (scalar / e)
     return total
 
 
@@ -209,13 +192,21 @@ def _chunked(seq, chunks):
     return [seq[i : i + size] for i in range(0, len(seq), size)]
 
 
+@cache
+def _pool(jobs):
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
 def _parallel_sum(route_sum, points, jobs):
     """Apply a route sum with everything but `points` bound to all fixed
-    points, or to chunks of them in `jobs` worker processes."""
+    points, or to chunks of them in `jobs` worker processes.
+
+    The workers are forked once per process, at first use, and then serve
+    every later sum, keeping their character caches warm.
+    """
     if jobs <= 1:
         return route_sum(points)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(route_sum, _chunked(points, jobs * 4)))
+    parts = list(_pool(jobs).map(route_sum, _chunked(points, jobs * 4)))
     return sum(parts[1:], parts[0])
 
 
@@ -386,40 +377,14 @@ def closed_form_series(surface, bundle, cap):
 
 def gottsche_product_coefficients(euler, nmax):
     """Coefficients of prod_{n>0} (1 - q^n)^(-euler) up to q^nmax."""
-    coeffs = [Fraction(0)] * (nmax + 1)
-    coeffs[0] = Fraction(1)
-    for n in range(1, nmax + 1):
-        factor = [Fraction(0)] * (nmax + 1)
-        # (1 - q^n)^(-euler) expanded
-        factor[0] = Fraction(1)
-        c = Fraction(1)
-        k = 0
-        while (k + 1) * n <= nmax:
-            k += 1
-            c = c * Fraction(euler + k - 1, k)
-            factor[k * n] = c
-        new = [Fraction(0)] * (nmax + 1)
-        for i, a in enumerate(coeffs):
-            if not a:
-                continue
-            for j in range(0, nmax + 1 - i, 1):
-                if factor[j]:
-                    new[i + j] += a * factor[j]
-        coeffs = new
-    return [int(c) for c in coeffs]
+    diagonal = product_formula([((1, 1), -euler)], 2 * nmax)
+    return [int(diagonal.coeff(n, n)) for n in range(nmax + 1)]
 
 
 def gottsche_fixed_point_counts(surface, nmax):
     """Number of partition tuples over the charts with total size n <= nmax."""
     k = len(surface.charts)
     return [sum(1 for _ in _partition_tuples(k, n)) for n in range(nmax + 1)]
-
-
-def gottsche_series(surface, cap):
-    """Euler-characteristic series of the Hilbert schemes of points,
-    embedded on the diagonal q = q1 q2."""
-    coeffs = gottsche_product_coefficients(surface.euler_number, cap // 2)
-    return Series2(cap, {(n, n): c for n, c in enumerate(coeffs)})
 
 
 # ---------------------------------------------------------------------------

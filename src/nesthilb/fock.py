@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly
-from .series import product_formula
+from .series import linear_power, product_formula
 
 
 class FockError(Exception):
@@ -29,12 +29,11 @@ class Lattice:
     """A finitely generated lattice with a symmetric integer pairing.
 
     Carries the distinguished canonical vector K and the Euler coupling e
-    used by the trace identities.  For the lattice of a surface's even
-    cohomology, e equals the rank; it is stored separately so purely
-    algebraic lattices can set it directly.
+    used by the trace identities; for the lattice of a surface's even
+    cohomology, e equals the rank.
     """
 
-    def __init__(self, pairing, canonical, euler=None):
+    def __init__(self, pairing, canonical):
         pairing = tuple(tuple(int(c) for c in row) for row in pairing)
         r = len(pairing)
         if any(len(row) != r for row in pairing):
@@ -49,7 +48,7 @@ class Lattice:
         self.rank = r
         self.pairing = pairing
         self.canonical = canonical
-        self.euler = r if euler is None else int(euler)
+        self.euler = r
 
     def pair(self, u, v):
         return sum(
@@ -236,27 +235,9 @@ def gamma_operator(lattice, sign, v, zarg, x, cap):
     return result
 
 
-def number_operator(x, qslot=1):
-    """q^N: scale each state by q^grading, q living on the given slot."""
-    out = {}
-    for state, poly in x.terms.items():
-        g = grading(state)
-        shift = (0, g) if qslot == 1 else (g, 0)
-        out[state] = poly.shift(shift)
-    return FockElement(out)
-
-
-def _binomial_scalar(p, cap):
-    """(1 + z1/z2)^p truncated: sum over k <= cap of C(p, k) z1^k z2^-k."""
-    terms = {}
-    coeff = Fraction(1)
-    terms[(0, 0)] = coeff
-    for k in range(1, cap + 1):
-        coeff = coeff * Fraction(p - (k - 1), k)
-        if coeff == 0:
-            break
-        terms[(k, -k)] = coeff
-    return LaurentPoly(terms)
+def number_operator(x):
+    """q^N: scale each state by q^grading, q living on slot 1."""
+    return FockElement({state: poly.shift((0, grading(state))) for state, poly in x.terms.items()})
 
 
 def gamma_commutation_check(lattice, m1, m2, cap):
@@ -273,11 +254,13 @@ def gamma_commutation_check(lattice, m1, m2, cap):
     z2 = ((0, 1), 1)
     for n in range(cap + 1):
         window = cap - n
+        binomial = linear_power(1, p, window).coeffs
+        scalar = LaurentPoly({(k, -k): c for k, c in enumerate(binomial)})
         for state in basis_states(lattice.rank, n):
             x = FockElement.basis(state)
             lhs = gamma_operator(lattice, 1, m2, z2, gamma_operator(lattice, -1, m1, z1, x, cap), cap)
             rhs = gamma_operator(lattice, -1, m1, z1, gamma_operator(lattice, 1, m2, z2, x, cap), cap)
-            rhs = rhs.scale(_binomial_scalar(p, window))
+            rhs = rhs.scale(scalar)
             keep = lambda e: e[0] <= window
             if lhs.filtered(keep) != rhs.filtered(keep):
                 return False

@@ -170,8 +170,8 @@ class Series2:
 
 def binomial_factor_series(d1, d2, r, cap):
     """(1 - q1^d1 q2^d2)^r truncated by total degree, r rational."""
-    base = Series2(cap, {(0, 0): 1, (d1, d2): -1})
-    return base.pow(r)
+    coeffs = linear_power(-1, r, cap // (d1 + d2)).coeffs
+    return Series2(cap, {(k * d1, k * d2): c for k, c in enumerate(coeffs)})
 
 
 def product_formula(factors, cap):
@@ -189,13 +189,8 @@ def product_formula(factors, cap):
         r = Fraction(r)
         if r == 0:
             continue
-        n = 0
-        while True:
-            e1, e2 = d1 + n, d2 + n
-            if e1 + e2 > cap:
-                break
-            result = result * binomial_factor_series(e1, e2, r, cap)
-            n += 1
+        for n in range((cap - d1 - d2) // 2 + 1):
+            result = result * binomial_factor_series(d1 + n, d2 + n, r, cap)
     return result
 
 
@@ -281,9 +276,10 @@ class GradedPoly:
 
 
 def linear_power(weight, mult, cap):
-    """(1 + weight * g)^mult as a GradedPoly, mult any integer.
+    """(1 + weight * g)^mult as a GradedPoly, mult an integer or a Fraction.
 
-    Negative mult expands the binomial series; truncation at cap.
+    A negative or fractional mult expands the binomial series; truncation
+    at cap.
     """
     out = [Fraction(0)] * (cap + 1)
     out[0] = Fraction(1)

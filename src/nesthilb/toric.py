@@ -159,15 +159,18 @@ def _localization_sum(surface, m1s, m2s, spec):
     return total
 
 
-def intersection_number(surface, l1, l2, specs=((Fraction(1), Fraction(7)), (Fraction(3), Fraction(-5)))):
+_INTERSECTION_SPECS = ((Fraction(1), Fraction(7)), (Fraction(3), Fraction(-5)))
+
+
+def intersection_number(surface, l1, l2):
     """Intersection number c1(L1).c1(L2) by fixed-point localization.
 
     Evaluated at two independent generic specializations; both must agree
     and the common value must be an integer.
     """
-    values = []
-    for spec in specs:
-        values.append(_localization_sum(surface, l1.weights, l2.weights, spec))
+    values = [
+        _localization_sum(surface, l1.weights, l2.weights, spec) for spec in _INTERSECTION_SPECS
+    ]
     if len(set(values)) != 1:
         raise ToricError("non-constant localization sum")
     value = values[0]

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nesthilb.characters import (
     DegenerateSpecializationError,
@@ -119,3 +121,25 @@ def test_chern_poly_trivial_weight_kills_top_degree():
 def test_chern_poly_flags_degenerate_draw():
     with pytest.raises(DegenerateSpecializationError):
         chern_poly(LaurentPoly({(1, -1): 1}), (Fraction(2), Fraction(2)), 1)
+
+
+nontrivial_characters = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda w: w != (0, 0)),
+    st.integers(-3, 3).filter(bool),
+    max_size=5,
+).map(LaurentPoly)
+
+
+@given(
+    nontrivial_characters,
+    nontrivial_characters,
+    st.integers(1, 97),
+    st.integers(-97, 97).filter(bool),
+)
+@settings(max_examples=80)
+def test_chern_poly_is_multiplicative(a, b, x, y):
+    """c(A - B) = c(A) / c(B): a ratio integrand is one Chern class."""
+    spec = (Fraction(x), Fraction(y))
+    weights = set(a.terms) | set(b.terms)
+    assume(all(u * x + v * y for u, v in weights))
+    assert chern_poly(a - b, spec, 4) == chern_poly(a, spec, 4).divide(chern_poly(b, spec, 4))

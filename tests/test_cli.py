@@ -187,3 +187,24 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["records"][0]["value"]["num"] == "9"
+
+
+def test_jobs_reuse_one_worker_pool(monkeypatch):
+    built = []
+
+    class CountingPool(engine.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+    engine._pool.cache_clear()
+    try:
+        code, _ = run_cli(["series", "--surface", "p2", "--bundle", "K", "--cap", "4",
+                           "--jobs", "2"])
+    finally:
+        engine._pool.cache_clear()
+        for pool in built:
+            pool.shutdown()
+    assert code == 0
+    assert len(built) == 1

@@ -54,6 +54,18 @@ def test_binomial_factor_integer_exponent():
     assert s == Series2(4, {(0, 0): 1, (1, 0): -2, (2, 0): 1})
 
 
+@given(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda d: d != (0, 0)),
+    st.builds(Fraction, st.integers(-9, 6), st.integers(1, 4)),
+    st.integers(0, 6),
+)
+@settings(max_examples=60)
+def test_binomial_factor_matches_log_exp_power(d, r, cap):
+    """The direct binomial expansion equals the power series s^r of Series2.pow."""
+    d1, d2 = d
+    assert binomial_factor_series(d1, d2, r, cap) == Series2(cap, {(0, 0): 1, (d1, d2): -1}).pow(r)
+
+
 def test_product_formula_single_family():
     # prod (1 - q^n)^-1 on the diagonal: partition counts 1,1,2,3,5,7
     s = product_formula([((1, 1), -1)], 10)
