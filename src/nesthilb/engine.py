@@ -2,9 +2,10 @@
 
 Two independent routes compute the same invariants:
 
-* the nested route sums over tuples of nested partition pairs, one per
-  chart, weighting total Chern classes of the twisted fiber classes by
-  the inverse Euler class of the virtual tangent character;
+* the nested route sums over the pairs (outer, inner) of partition
+  tuples, indexed like the charts, that are nested on every chart,
+  weighting total Chern classes of the twisted fiber classes by the
+  inverse Euler class of the virtual tangent character;
 * the product route sums over all pairs of partition tuples (nested or
   not) on the product of two Hilbert schemes, cutting down to the nested
   locus with the top Chern class of the untwisted fiber class.
@@ -15,7 +16,6 @@ numeric specializations of the torus weights, which must agree.
 
 from __future__ import annotations
 
-import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,9 +29,10 @@ from .characters import (
     chern_poly,
     euler_class,
     substitute_weights,
+    virtual_tangent_character,
 )
 from .laurent import LaurentPoly
-from .partitions import enumerate_nested_pairs, enumerate_partitions
+from .partitions import NestedPair, Partition, enumerate_partitions
 from .series import GradedPoly, Series2, product_formula
 from .toric import builtin_surface, chern_numbers
 
@@ -46,61 +47,37 @@ class SpecializationDisagreement(LocalizationError):
 # fixed-point enumeration
 
 
-@dataclass(frozen=True)
-class GlobalFixedPoint:
-    """One nested pair per chart of the surface."""
-
-    assignment: tuple  # tuple of NestedPair, indexed like surface.charts
-
-    @property
-    def n1(self):
-        return sum(p.outer.size for p in self.assignment)
-
-    @property
-    def n2(self):
-        return sum(p.inner.size for p in self.assignment)
-
-
-def compositions(n, k):
-    """All tuples of k nonnegative integers summing to n."""
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    for first in range(n + 1):
-        for rest in compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
-def enumerate_global_fixed_points(surface, n1, n2):
-    """All distributions of nested pairs over the charts with sizes (n1, n2)."""
-    if n1 < n2:
-        raise ValueError("empty nesting range")
-    k = len(surface.charts)
-    points = []
-    for comp1 in compositions(n1, k):
-        for comp2 in compositions(n2, k):
-            if any(c2 > c1 for c1, c2 in zip(comp1, comp2)):
-                continue
-            choices = [enumerate_nested_pairs(c1, c2) for c1, c2 in zip(comp1, comp2)]
-            for assignment in itertools.product(*choices):
-                points.append(GlobalFixedPoint(assignment))
-    return points
-
-
 def _partition_tuples(k, n):
-    for comp in compositions(n, k):
-        for tup in itertools.product(*[enumerate_partitions(c) for c in comp]):
-            yield tup
+    """All k-tuples of partitions of total size n, indexed like the charts."""
+    if k == 0:
+        return [()] if n == 0 else []
+    tuples = []
+    for m in range(n + 1):
+        rest = _partition_tuples(k - 1, n - m)
+        tuples.extend((mu,) + tail for mu in enumerate_partitions(m) for tail in rest)
+    return tuples
 
 
 def enumerate_product_fixed_points(surface, n1, n2):
     """All pairs of partition tuples on the product of Hilbert schemes."""
     k = len(surface.charts)
-    tups2 = list(_partition_tuples(k, n2))
-    for tup1 in _partition_tuples(k, n1):
-        for tup2 in tups2:
-            yield (tup1, tup2)
+    tups2 = _partition_tuples(k, n2)
+    return [(tup1, tup2) for tup1 in _partition_tuples(k, n1) for tup2 in tups2]
+
+
+def enumerate_global_fixed_points(surface, n1, n2):
+    """The nested fixed points: the product fixed points (outer, inner) with
+    sizes (n1, n2) whose inner partition fits in the outer one on every chart."""
+    if n1 < n2:
+        raise ValueError("empty nesting range")
+    k = len(surface.charts)
+    inners = _partition_tuples(k, n2)
+    return [
+        (outer, inner)
+        for outer in _partition_tuples(k, n1)
+        for inner in inners
+        if all(map(Partition.contains, outer, inner))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +87,19 @@ def enumerate_product_fixed_points(surface, n1, n2):
 @lru_cache(maxsize=None)
 def _global_block(u, v, mu_a, mu_b):
     return substitute_weights(block_character(mu_a, mu_b), u, v)
+
+
+@lru_cache(maxsize=None)
+def _global_tangent(u, v, outer, inner):
+    return substitute_weights(virtual_tangent_character(NestedPair(outer, inner)), u, v)
+
+
+def _tangent(surface, outer, inner):
+    """Virtual tangent character at the nested fixed point (outer, inner),
+    summed over the charts; at (tup, tup) it is the tangent of one Hilbert
+    scheme, since T(mu, mu) = V(mu, mu)."""
+    terms = [_global_tangent(c.u, c.v, outer[c.index], inner[c.index]) for c in surface.charts]
+    return sum(terms[1:], terms[0])
 
 
 def _fiber_character(surface, bundle, tup_a, tup_b):
@@ -142,15 +132,8 @@ def _integrand_character(surface, nums, dens, tup_a, tup_b):
 def _nested_sum(surface, nums, dens, n1, n2, spec, points):
     cap = n1 + n2
     total = GradedPoly(cap)
-    for point in points:
-        outer = tuple(p.outer for p in point.assignment)
-        inner = tuple(p.inner for p in point.assignment)
-        tangent = (
-            _fiber_character(surface, None, outer, outer)
-            + _fiber_character(surface, None, inner, inner)
-            - _fiber_character(surface, None, outer, inner)
-        )
-        e = euler_class(tangent, spec)
+    for outer, inner in points:
+        e = euler_class(_tangent(surface, outer, inner), spec)
         integrand = _integrand_character(surface, nums, dens, outer, inner)
         total = total + chern_poly(integrand, spec, cap) * (1 / e)
     return total
@@ -177,11 +160,7 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
                 break
         if not scalar:
             continue
-        tangent = (
-            _fiber_character(surface, None, tup1, tup1)
-            + _fiber_character(surface, None, tup2, tup2)
-        )
-        e = euler_class(tangent, spec)
+        e = euler_class(_tangent(surface, tup1, tup1) + _tangent(surface, tup2, tup2), spec)
         integrand = _integrand_character(surface, nums, dens, tup1, tup2)
         total = total + chern_poly(integrand, spec, cap) * (scalar / e)
     return total
@@ -270,7 +249,7 @@ def _localize(surface, route, nums, dens, n1, n2, seed, jobs, tops=((None, False
         points = enumerate_global_fixed_points(surface, n1, n2)
         route_sum = partial(_nested_sum, surface, nums, dens, n1, n2)
     elif route == "product":
-        points = list(enumerate_product_fixed_points(surface, n1, n2))
+        points = enumerate_product_fixed_points(surface, n1, n2)
         route_sum = partial(_product_sum, surface, tops, nums, dens, n1, n2)
     else:
         raise ValueError(f"unknown route {route!r}")
@@ -383,8 +362,7 @@ def gottsche_product_coefficients(euler, nmax):
 
 def gottsche_fixed_point_counts(surface, nmax):
     """Number of partition tuples over the charts with total size n <= nmax."""
-    k = len(surface.charts)
-    return [sum(1 for _ in _partition_tuples(k, n)) for n in range(nmax + 1)]
+    return [len(_partition_tuples(len(surface.charts), n)) for n in range(nmax + 1)]
 
 
 # ---------------------------------------------------------------------------

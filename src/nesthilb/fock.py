@@ -129,8 +129,6 @@ class FockElement:
 
     def scale(self, factor):
         """Multiply every coefficient by a LaurentPoly or scalar."""
-        if not isinstance(factor, LaurentPoly):
-            factor = LaurentPoly.constant(factor)
         return FockElement({s: p * factor for s, p in self.terms.items()})
 
     def __eq__(self, other):
@@ -189,7 +187,7 @@ def apply_alpha(lattice, m, v, x, cap):
                 if not c:
                     continue
                 ns = tuple(sorted(state + ((n, i),)))
-                scaled = poly * LaurentPoly.constant(c)
+                scaled = poly * c
                 out[ns] = out[ns] + scaled if ns in out else scaled
     else:
         norm = (-1) ** (m - 1) * m
@@ -201,7 +199,7 @@ def apply_alpha(lattice, m, v, x, cap):
                 if not p:
                     continue
                 ns = state[:j] + state[j + 1 :]
-                scaled = poly * LaurentPoly.constant(norm * p)
+                scaled = poly * (norm * p)
                 out[ns] = out[ns] + scaled if ns in out else scaled
     return FockElement(out)
 

@@ -28,8 +28,12 @@ class Chart:
     v: tuple  # dual basis vector pairing to 1 with rays[1]
 
 
+def _det(r1, r2):
+    return r1[0] * r2[1] - r1[1] * r2[0]
+
+
 def _dual_basis(r1, r2):
-    det = r1[0] * r2[1] - r1[1] * r2[0]
+    det = _det(r1, r2)
     if det not in (1, -1):
         raise ToricError(f"cone on {r1}, {r2} is not unimodular")
     # rows of the inverse transpose of [r1; r2]
@@ -51,6 +55,15 @@ class ToricSurface:
             r1, r2 = rays[i], rays[(i + 1) % n]
             u, v = _dual_basis(r1, r2)
             self.charts.append(Chart(i, (r1, r2), u, v))
+        signs = {_det(*chart.rays) for chart in self.charts}
+        if len(signs) != 1:
+            raise ToricError("cones turn both ways around the origin: not a fan")
+        # r_{i-1} + r_{i+1} = a_i r_i with a_i = s det(r_{i-1}, r_{i+1}) and D_i^2 = -a_i,
+        # so K^2 = sum D_i^2 + 2 sum D_i D_{i+1} = 2n - sum a_i; Noether: K^2 + e = 12
+        s = signs.pop()
+        k_sq = 2 * n - sum(s * _det(rays[i - 1], rays[(i + 1) % n]) for i in range(n))
+        if k_sq + n != 12:
+            raise ToricError(f"rays wind around the origin more than once: K^2 + e = {k_sq + n}")
 
     @property
     def euler_number(self):

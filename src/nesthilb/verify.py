@@ -28,22 +28,6 @@ class Check:
     detail: str = ""
 
 
-SUITES = ("gottsche", "nestprod", "theorem4", "universality", "fock", "oracle")
-
-_DEFAULT_CAPS = {
-    "gottsche": 6,
-    "nestprod": 5,
-    "theorem4": 5,
-    "universality": 4,
-    "fock": 3,
-    "oracle": 3,
-}
-
-
-def default_cap(suite):
-    return _DEFAULT_CAPS[suite]
-
-
 def _surface_bundles(surface):
     """The standard bundle triple on a builtin surface: O, a hyperplane-type
     bundle, and the canonical bundle."""
@@ -295,11 +279,11 @@ _SUITE_FUNCS = {
     "fock": suite_fock,
     "oracle": suite_oracle,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(name, cap=None, seed=0, jobs=1):
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}")
-    if cap is None:
-        cap = default_cap(name)
-    return _SUITE_FUNCS[name](cap=cap, seed=seed, jobs=jobs)
+    caps = {} if cap is None else {"cap": cap}
+    return _SUITE_FUNCS[name](seed=seed, jobs=jobs, **caps)

@@ -130,6 +130,17 @@ def test_config_file_surface(tmp_path):
     assert json.loads(text)["records"][0]["surface"] == "quadric"
 
 
+def test_twice_wound_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "twice.yaml"
+    path.write_text("name: twice\nrays: [[1,0],[0,1],[-1,-1],[1,0],[0,1],[-1,-1]]\n")
+    code, text = run_cli(
+        ["series", "--surface", str(path), "--cap", "2", "--compare", "closed-form"]
+    )
+    assert (code, text) == (cli.EXIT_USAGE, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_empty_nesting_range_is_usage_error():
     code, _ = run_cli(["integrate", "--surface", "p2", "--n1", "1", "--n2", "2"])
     assert code == 2

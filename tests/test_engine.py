@@ -6,9 +6,15 @@ from functools import partial
 import pytest
 
 from nesthilb import engine
-from nesthilb.characters import DegenerateSpecializationError
+from nesthilb.characters import (
+    DegenerateSpecializationError,
+    substitute_weights,
+    virtual_tangent_character_resolution,
+)
 from nesthilb.engine import SpecializationDisagreement
-from nesthilb.series import GradedPoly
+from nesthilb.laurent import LaurentPoly
+from nesthilb.partitions import NestedPair, enumerate_nested_pairs
+from nesthilb.series import GradedPoly, Series2
 from nesthilb.toric import builtin_surface, chern_numbers
 
 P2 = builtin_surface("p2")
@@ -18,10 +24,44 @@ Q = builtin_surface("p1xp1")
 def test_fixed_point_counts():
     # nested fixed points: chartwise nested pairs with the right total sizes
     points = engine.enumerate_global_fixed_points(P2, 2, 1)
-    assert all(p.n1 == 2 and p.n2 == 1 for p in points)
+    assert all(
+        sum(mu.size for mu in outer) == 2 and sum(mu.size for mu in inner) == 1
+        for outer, inner in points
+    )
     # one chart holds (2,1): 2 nested pairs x 3 charts; outer split 1+1 over
     # two charts with the inner point on either: 3 chart pairs x 2
     assert len(points) == 12
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
+def test_nested_fixed_points_match_chartwise_count(name):
+    """The nested fixed points number the coefficients of the k-th power of
+    the one-chart series sum |nested pairs (a, b)| q1^a q2^b."""
+    surface = builtin_surface(name)
+    cap = 6
+    grid = engine.series_grid(cap)
+    chart = Series2(cap, {(a, b): len(enumerate_nested_pairs(a, b)) for a, b in grid})
+    expected = chart.pow(len(surface.charts))
+    for n1, n2 in grid:
+        count = len(engine.enumerate_global_fixed_points(surface, n1, n2))
+        assert count == expected.coeff(n1, n2), (n1, n2)
+
+
+@pytest.mark.parametrize("name", ["p2", "hirzebruch(1)"])
+def test_engine_tangent_is_the_oracle_sum(name):
+    surface = builtin_surface(name)
+    for n1, n2 in engine.series_grid(4):
+        for outer, inner in engine.enumerate_global_fixed_points(surface, n1, n2):
+            oracle = sum(
+                (
+                    substitute_weights(
+                        virtual_tangent_character_resolution(NestedPair(o, i)), c.u, c.v
+                    )
+                    for c, o, i in zip(surface.charts, outer, inner)
+                ),
+                LaurentPoly.zero(),
+            )
+            assert engine._tangent(surface, outer, inner) == oracle, (outer, inner)
 
 
 def test_product_fixed_points_include_non_nested():

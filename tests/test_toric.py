@@ -29,6 +29,20 @@ def test_non_unimodular_fan_rejected():
         ToricSurface("bad", [(1, 0), (1, 2), (-1, -1)])
 
 
+@pytest.mark.parametrize("rays", [
+    [(1, 0), (0, 1), (-1, -1)] * 2,  # the plane's rays wound twice: K^2 = 18, e = 6
+    [(1, 0), (0, 1), (-1, 0), (0, 1)],  # unimodular cones turning both ways
+], ids=["wound-twice", "mixed-orientation"])
+def test_rays_that_are_not_a_fan_rejected(rays):
+    with pytest.raises(ToricError):
+        ToricSurface("bad", rays)
+
+
+def test_clockwise_plane_accepted():
+    p2 = ToricSurface("p2-clockwise", [(1, 0), (-1, -1), (0, 1)])
+    assert chern_numbers(p2, p2.structure_sheaf()).K_squared == 9
+
+
 def test_euler_numbers():
     assert builtin_surface("p2").euler_number == 3
     assert builtin_surface("p1xp1").euler_number == 4
