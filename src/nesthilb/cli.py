@@ -18,6 +18,7 @@ import sys
 
 from . import engine, verify
 from .characters import LocalizationError
+from .fock import FockError
 from .toric import ToricError, builtin_surface, load_surface_config
 
 DEFAULT_SEED_ENV = "NESTHILB_SEED"
@@ -66,16 +67,11 @@ def _resolve_bundle(surface, named, label):
             coeffs = [int(c) for c in inner.split(",")]
         except ValueError:
             raise UsageError(f"cannot parse bundle {label!r}")
-        coeffs += [0] * (len(surface.rays) - len(coeffs))
-        if len(coeffs) != len(surface.rays):
-            raise UsageError(f"bundle {label!r} has too many coefficients")
-        return surface.line_bundle(coeffs)
+        return surface.line_bundle(coeffs + [0] * (len(surface.rays) - len(coeffs)))
     try:
         coeffs = [int(c) for c in label.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse bundle {label!r}")
-    if len(coeffs) != len(surface.rays):
-        raise UsageError("one divisor coefficient per ray required")
     return surface.line_bundle(coeffs)
 
 
@@ -238,7 +234,7 @@ def main(argv=None, out=None):
         if args.command == "series":
             return cmd_series(args, out)
         return cmd_verify(args, out)
-    except (UsageError, ToricError, ValueError, OSError) as exc:
+    except (UsageError, ToricError, FockError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LocalizationError as exc:

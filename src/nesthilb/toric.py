@@ -2,16 +2,14 @@
 
 Everything is derived from the cyclically ordered list of rays by 2x2
 integer linear algebra: each adjacent (unimodular) cone gives one chart,
-whose two tangent weights are the dual basis of the cone, and a
-torus-invariant divisor gives one linearization weight per chart.
+whose two tangent weights are the dual basis of the cone, a
+torus-invariant divisor gives one linearization weight per chart, and the
+self-intersections of the boundary divisors give the intersection form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .characters import DegenerateSpecializationError
 
 
 class ToricError(Exception):
@@ -32,6 +30,17 @@ def _det(r1, r2):
     return r1[0] * r2[1] - r1[1] * r2[0]
 
 
+def _integers(values, what, length):
+    """values as a tuple of ints; a bool, a float or a wrong length is a ToricError."""
+    if (
+        not isinstance(values, (list, tuple))
+        or len(values) != length
+        or any(isinstance(c, bool) or not isinstance(c, int) for c in values)
+    ):
+        raise ToricError(f"{what} must be a list of {length} integers, got {values!r}")
+    return tuple(values)
+
+
 def _dual_basis(r1, r2):
     det = _det(r1, r2)
     if det not in (1, -1):
@@ -44,7 +53,9 @@ def _dual_basis(r1, r2):
 
 class ToricSurface:
     def __init__(self, name, rays):
-        rays = [tuple(int(c) for c in r) for r in rays]
+        if not isinstance(rays, (list, tuple)):
+            raise ToricError(f"rays must be a list of integer pairs, got {rays!r}")
+        rays = [_integers(r, "a ray", 2) for r in rays]
         if len(rays) < 3:
             raise ToricError("need at least three rays")
         self.name = name
@@ -58,10 +69,12 @@ class ToricSurface:
         signs = {_det(*chart.rays) for chart in self.charts}
         if len(signs) != 1:
             raise ToricError("cones turn both ways around the origin: not a fan")
-        # r_{i-1} + r_{i+1} = a_i r_i with a_i = s det(r_{i-1}, r_{i+1}) and D_i^2 = -a_i,
-        # so K^2 = sum D_i^2 + 2 sum D_i D_{i+1} = 2n - sum a_i; Noether: K^2 + e = 12
+        # r_{i-1} + r_{i+1} = a_i r_i with a_i = s det(r_{i-1}, r_{i+1}), and D_i^2 = -a_i
         s = signs.pop()
-        k_sq = 2 * n - sum(s * _det(rays[i - 1], rays[(i + 1) % n]) for i in range(n))
+        self.self_intersections = [-s * _det(rays[i - 1], rays[(i + 1) % n]) for i in range(n)]
+        # Noether's identity K^2 + e = 12 fails for rays that wind more than once
+        k = self.canonical_bundle()
+        k_sq = intersection_number(self, k, k)
         if k_sq + n != 12:
             raise ToricError(f"rays wind around the origin more than once: K^2 + e = {k_sq + n}")
 
@@ -90,9 +103,7 @@ class EquivariantLineBundle:
     """
 
     def __init__(self, surface, coeffs):
-        coeffs = [int(a) for a in coeffs]
-        if len(coeffs) != len(surface.rays):
-            raise ToricError("one divisor coefficient per ray required")
+        coeffs = list(_integers(coeffs, "divisor coefficients (one per ray)", len(surface.rays)))
         self.surface = surface
         self.coeffs = coeffs
         self.weights = []
@@ -103,17 +114,6 @@ class EquivariantLineBundle:
             # m = -a1 * u - a2 * v satisfies <m, r1> = -a1, <m, r2> = -a2
             m = (-a1 * chart.u[0] - a2 * chart.v[0], -a1 * chart.u[1] - a2 * chart.v[1])
             self.weights.append(m)
-
-    def local_weight(self, chart):
-        """The chart weight written in the chart's own coordinates.
-
-        Returns (c1, c2) with weight = c1*u + c2*v; the multiplying monomial
-        is t1^c1 t2^c2 in local coordinates.
-        """
-        m = self.weights[chart.index]
-        r1, r2 = chart.rays
-        # <m, r1> = c1, <m, r2> = c2 since (u, v) is the dual basis
-        return (m[0] * r1[0] + m[1] * r1[1], m[0] * r2[0] + m[1] * r2[1])
 
     def dual_twist(self):
         """The Serre-dual twist K - L of this bundle."""
@@ -158,38 +158,19 @@ def builtin_surface(name):
     raise ToricError(f"unknown surface {name!r}")
 
 
-def _localization_sum(surface, m1s, m2s, spec):
-    x, y = spec
-    total = Fraction(0)
-    for chart in surface.charts:
-        du = chart.u[0] * x + chart.u[1] * y
-        dv = chart.v[0] * x + chart.v[1] * y
-        if du == 0 or dv == 0:
-            raise DegenerateSpecializationError("degenerate specialization")
-        w1 = m1s[chart.index]
-        w2 = m2s[chart.index]
-        total += Fraction((w1[0] * x + w1[1] * y) * (w2[0] * x + w2[1] * y), du * dv)
-    return total
-
-
-_INTERSECTION_SPECS = ((Fraction(1), Fraction(7)), (Fraction(3), Fraction(-5)))
-
-
 def intersection_number(surface, l1, l2):
-    """Intersection number c1(L1).c1(L2) by fixed-point localization.
+    """Intersection number c1(L1).c1(L2) from the fan.
 
-    Evaluated at two independent generic specializations; both must agree
-    and the common value must be an integer.
+    D_i^2 is the stored self-intersection, adjacent boundary divisors meet
+    once, and all other pairs are disjoint.
     """
-    values = [
-        _localization_sum(surface, l1.weights, l2.weights, spec) for spec in _INTERSECTION_SPECS
-    ]
-    if len(set(values)) != 1:
-        raise ToricError("non-constant localization sum")
-    value = values[0]
-    if value.denominator != 1:
-        raise ToricError("non-integer intersection number")
-    return int(value)
+    a, b, n = l1.coeffs, l2.coeffs, len(surface.rays)
+    return sum(
+        a[i] * b[i] * surface.self_intersections[i]
+        + a[i] * b[(i + 1) % n]
+        + a[(i + 1) % n] * b[i]
+        for i in range(n)
+    )
 
 
 def chern_numbers(surface, bundle):
@@ -211,11 +192,14 @@ def load_surface_config(path):
     import yaml
 
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ToricError(f"invalid YAML: {' '.join(str(exc).split())}")
     if not isinstance(data, dict) or "rays" not in data:
         raise ToricError("config must be a mapping with a 'rays' field")
     surface = ToricSurface(str(data.get("name", "custom")), data["rays"])
-    bundles = {}
-    for label, coeffs in (data.get("bundles") or {}).items():
-        bundles[str(label)] = surface.line_bundle(coeffs)
-    return surface, bundles
+    named = data.get("bundles") or {}
+    if not isinstance(named, dict):
+        raise ToricError("'bundles' must be a mapping from labels to coefficient lists")
+    return surface, {str(label): surface.line_bundle(coeffs) for label, coeffs in named.items()}

@@ -130,9 +130,23 @@ def test_config_file_surface(tmp_path):
     assert json.loads(text)["records"][0]["surface"] == "quadric"
 
 
-def test_twice_wound_config_is_usage_error(tmp_path, capsys):
-    path = tmp_path / "twice.yaml"
-    path.write_text("name: twice\nrays: [[1,0],[0,1],[-1,-1],[1,0],[0,1],[-1,-1]]\n")
+PLANE_RAYS = "rays: [[1,0],[0,1],[-1,-1]]\n"
+
+
+@pytest.mark.parametrize("config", [
+    "name: twice\nrays: [[1,0],[0,1],[-1,-1],[1,0],[0,1],[-1,-1]]\n",
+    "rays: [[1,0], [0,1\n",  # YAML syntax error
+    "rays: 5\n",
+    PLANE_RAYS + "bundles: [1, 2]\n",
+    "rays: [[1,0,5],[0,1],[-1,-1]]\n",  # a ray that is not a pair
+    "rays: [[1.7,0],[0,1],[-1,-1]]\n",
+    PLANE_RAYS + "bundles:\n  h: [1.9, 0, 0]\n",
+    PLANE_RAYS + "bundles:\n  h: [true, 0, 0]\n",
+], ids=["wound-twice", "yaml-syntax", "rays-scalar", "bundles-list", "ray-triple",
+        "ray-float", "bundle-float", "bundle-bool"])
+def test_twice_wound_config_is_usage_error(tmp_path, capsys, config):
+    path = tmp_path / "surface.yaml"
+    path.write_text(config)
     code, text = run_cli(
         ["series", "--surface", str(path), "--cap", "2", "--compare", "closed-form"]
     )
@@ -169,6 +183,12 @@ def test_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "nonsense"], out=io.StringIO())
     assert err.value.code == 2
+
+
+def test_fock_cap_zero_is_usage_error(capsys):
+    code, text = run_cli(["verify", "fock", "--cap", "0"])
+    assert (code, text) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_suite_passes():

@@ -1,7 +1,13 @@
 """Toric surfaces, equivariant line bundles, intersection numbers."""
 
-import pytest
+from fractions import Fraction
+from itertools import count
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nesthilb import engine
 from nesthilb.toric import (
     ToricError,
     ToricSurface,
@@ -102,12 +108,16 @@ def test_dual_twist_chern_data():
 
 
 def test_local_weight_convention():
-    p2 = builtin_surface("p2")
-    h = p2.line_bundle([1, 0, 0])
-    chart = p2.charts[0]
-    c1, c2 = h.local_weight(chart)
-    # the chart weight written on the chart's own coordinates is -a per ray
-    assert (c1, c2) == (-1, 0)
+    # each chart weight pairs to -a_r with both rays r of its cone
+    for name in ("p2", "p1xp1", "hirzebruch(1)", "hirzebruch(-7)"):
+        surface = builtin_surface(name)
+        n = len(surface.rays)
+        coeffs = [3, -1, 2, 5][:n]
+        bundle = surface.line_bundle(coeffs)
+        for chart in surface.charts:
+            m = bundle.weights[chart.index]
+            for offset, r in enumerate(chart.rays):
+                assert m[0] * r[0] + m[1] * r[1] == -coeffs[(chart.index + offset) % n]
 
 
 def test_bundle_arithmetic_validation():
@@ -136,3 +146,65 @@ def test_load_surface_config_rejects_junk(tmp_path):
     path.write_text("just a string\n")
     with pytest.raises(ToricError):
         load_surface_config(path)
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _localization_sum(surface, l1, l2):
+    """c1(L1).c1(L2) as sum over charts of (w1.p)(w2.p) / ((u.p)(v.p)),
+    at a point p = (1, k) where no chart weight vanishes."""
+    p = next(
+        (1, k) for k in count(1)
+        if all(_dot(c.u, (1, k)) and _dot(c.v, (1, k)) for c in surface.charts)
+    )
+    return sum(
+        Fraction(
+            _dot(l1.weights[c.index], p) * _dot(l2.weights[c.index], p),
+            _dot(c.u, p) * _dot(c.v, p),
+        )
+        for c in surface.charts
+    )
+
+
+def _blow_up(rays, i):
+    """The toric blow-up of the fixed point on rays i, i+1: insert their sum."""
+    r1, r2 = rays[i], rays[(i + 1) % len(rays)]
+    return rays[: i + 1] + [(r1[0] + r2[0], r1[1] + r2[1])] + rays[i + 1 :]
+
+
+@st.composite
+def surfaces_with_bundles(draw):
+    """Iterated toric blow-ups of P^2 or F_a, with a random line bundle."""
+    a = draw(st.integers(-3, 3))
+    rays = draw(st.sampled_from([
+        [(1, 0), (0, 1), (-1, -1)],
+        [(1, 0), (0, 1), (-1, a), (0, -1)],
+    ]))
+    for _ in range(draw(st.integers(0, 3))):
+        rays = _blow_up(rays, draw(st.integers(0, len(rays) - 1)))
+    surface = ToricSurface("blown-up", rays)
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rays), max_size=len(rays)))
+    return surface, surface.line_bundle(coeffs)
+
+
+def _check_intersections_and_closed_form(surface, bundle):
+    k = surface.canonical_bundle()
+    for l1, l2 in ((bundle, bundle), (bundle, k), (k, k)):
+        assert intersection_number(surface, l1, l2) == _localization_sum(surface, l1, l2)
+    assert engine.z_nest_series(surface, bundle, 3) == engine.closed_form_series(surface, bundle, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(surfaces_with_bundles())
+def test_random_surfaces_intersections_and_closed_form(surface_bundle):
+    _check_intersections_and_closed_form(*surface_bundle)
+
+
+def test_hirzebruch_minus_seven_intersections_and_closed_form():
+    # a chart weight of F_{-7} is orthogonal to (1, 7): the form must not care
+    surface = builtin_surface("hirzebruch(-7)")
+    cn = chern_numbers(surface, surface.canonical_bundle())
+    assert (cn.M_squared, cn.M_dot_K, cn.K_squared, cn.c2) == (8, 8, 8, 4)
+    _check_intersections_and_closed_form(surface, surface.line_bundle([1, 0, 2, 0]))
