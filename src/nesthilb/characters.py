@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .partitions import NestedPair, staircase_numerator, z_character
-from .series import GradedPoly, linear_power
+from .series import GradedPoly
 
 TRIVIAL = (0, 0)
 
@@ -116,11 +116,8 @@ def euler_class(c, spec):
     x, y = spec
     if trivial_multiplicity(c):
         raise TrivialWeightError("trivial weight in Euler class")
-    num = Fraction(1)
-    den = Fraction(1)
+    num = den = 1
     for (a, b), mult in c.terms.items():
-        if (a, b) == TRIVIAL:
-            continue
         w = a * x + b * y
         if w == 0:
             raise DegenerateSpecializationError("degenerate specialization")
@@ -128,26 +125,35 @@ def euler_class(c, spec):
             num *= w ** mult
         else:
             den *= w ** (-mult)
-    if den == 0:
-        raise DegenerateSpecializationError("degenerate specialization")
-    return num / den
+    return Fraction(num, den)
 
 
 def chern_poly(c, spec, cap):
     """Total equivariant Chern class of a character, graded formally.
 
     Returns the GradedPoly whose degree-k coefficient is the specialization
-    of the k-th Chern class: the product of (1 + g (a x + b y))^mult over
-    all weights.  Trivial weights contribute the factor 1, which is what
-    makes top Chern classes of classes with trivial summands vanish.
+    of the k-th Chern class of the product of (1 + g (a x + b y))^mult over
+    all weights, at an integer specialization (x, y).  The Chern classes
+    e_k come from the power sums p_k = sum mult w^k by Newton's identities
+    k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} p_i, all in integers; each
+    division by k is exact, and a remainder raises LocalizationError.
+    Trivial weights add nothing to the power sums, which is what makes top
+    Chern classes of classes with trivial summands vanish.
     """
     x, y = spec
-    result = GradedPoly.one(cap)
+    power_sums = [0] * (cap + 1)
     for (a, b), mult in c.terms.items():
-        if (a, b) == TRIVIAL:
-            continue
         w = a * x + b * y
-        if w == 0:
+        if w == 0 and (a, b) != TRIVIAL:
             raise DegenerateSpecializationError("degenerate specialization")
-        result = result * linear_power(w, mult, cap)
-    return result
+        term = mult
+        for k in range(1, cap + 1):
+            term *= w
+            power_sums[k] += term
+    e = [1] + [0] * cap
+    for k in range(1, cap + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * power_sums[i] for i in range(1, k + 1))
+        e[k], rem = divmod(acc, k)
+        if rem:
+            raise LocalizationError(f"Newton's identity left remainder {rem} in degree {k}")
+    return GradedPoly(cap, e)

@@ -151,7 +151,7 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     top_degree = n1 + n2
     total = GradedPoly(cap)
     for tup1, tup2 in points:
-        scalar = Fraction(1)
+        scalar = 1
         for bundle, swap in tops:
             source, target = (tup2, tup1) if swap else (tup1, tup2)
             char = _fiber_character(surface, bundle, source, target)
@@ -194,9 +194,7 @@ def _parallel_sum(route_sum, points, jobs):
 
 
 def draw_specialization(rng):
-    x = Fraction(rng.randint(1, 97))
-    y = Fraction(rng.choice([-1, 1]) * rng.randint(1, 97))
-    return (x, y)
+    return (rng.randint(1, 97), rng.choice([-1, 1]) * rng.randint(1, 97))
 
 
 def _dual_spec_graded(compute, seed):

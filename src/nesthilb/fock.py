@@ -289,7 +289,7 @@ def w_trace(lattice, m1, m2, cap):
     Applies W(M2)(1/z1) W(M1)(z1) with W(M) = Gamma_-(-M,-z) Gamma_+(-M^D,z)
     to every basis state of grading n1 <= cap, reads off the diagonal
     coefficient, and converts q^n1 z1^(2(n2-n1)) to the (q1, q2) grid.
-    Returns {(n1, n2): Fraction} over the box n1, n2 <= cap, which is the
+    Returns {(n1, n2): coefficient} over the box n1, n2 <= cap, which is the
     exact window under the grading cap.
     """
     m1d = lattice.dual(m1)
@@ -312,7 +312,7 @@ def w_trace(lattice, m1, m2, cap):
                 n2 = n + e // 2
                 if 0 <= n2 <= cap:
                     key = (n, n2)
-                    box[key] = box.get(key, Fraction(0)) + c
+                    box[key] = box.get(key, 0) + c
     return {k: v for k, v in box.items() if v}
 
 
@@ -337,7 +337,7 @@ def trace_matches_product(lattice, m1, m2, cap):
     series = trace_product_series(lattice, m1, m2, cap)
     for n1 in range(cap + 1):
         for n2 in range(cap + 1):
-            if box.get((n1, n2), Fraction(0)) != series.coeff(n1, n2):
+            if box.get((n1, n2), 0) != series.coeff(n1, n2):
                 return False
     return True
 
@@ -362,9 +362,9 @@ def heisenberg_check(lattice, cap):
                         for gj, gp in enumerate(basis_vecs):
                             ab = apply_alpha(lattice, m, g, apply_alpha(lattice, n, gp, x, big), big)
                             ba = apply_alpha(lattice, n, gp, apply_alpha(lattice, m, g, x, big), big)
-                            comm = ab + ba.scale(Fraction(-1))
+                            comm = ab + ba.scale(-1)
                             if n == -m:
-                                want = x.scale(Fraction((-1) ** (m - 1) * m * lattice.pairing[gi][gj]))
+                                want = x.scale((-1) ** (m - 1) * m * lattice.pairing[gi][gj])
                             else:
                                 want = FockElement.zero()
                             if comm != want:

@@ -1,8 +1,9 @@
-"""Bivariate Laurent polynomials with exact rational coefficients.
+"""Bivariate Laurent polynomials with exact coefficients.
 
-Exponent pairs (a, b) index monomials t1^a t2^b.  Zero coefficients are
-never stored, so structural equality of the term dictionaries is
-mathematical equality.
+Exponent pairs (a, b) index monomials t1^a t2^b.  Coefficients are stored
+as given, so integer polynomials stay integer; a Fraction appears only
+where a division makes one.  Zero coefficients are never stored, so
+structural equality of the term dictionaries is mathematical equality.
 """
 
 from __future__ import annotations
@@ -11,19 +12,12 @@ from fractions import Fraction
 
 
 class LaurentPoly:
-    """A finite sum of terms c * t1^a * t2^b with c a nonzero Fraction."""
+    """A finite sum of terms c * t1^a * t2^b with c a nonzero int or Fraction."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        pruned = {}
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    a, b = exps
-                    pruned[(int(a), int(b))] = coeff
-        self.terms = pruned
+        self.terms = {exps: c for exps, c in (terms or {}).items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -71,16 +65,12 @@ class LaurentPoly:
             other = LaurentPoly.constant(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return LaurentPoly.constant(other) + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return LaurentPoly.zero()
             out = LaurentPoly.__new__(LaurentPoly)
-            out.terms = {e: c * v for e, v in self.terms.items()}
+            out.terms = {e: other * v for e, v in self.terms.items()}
             return out
         terms = {}
         for (a1, b1), c1 in self.terms.items():
@@ -155,31 +145,36 @@ class LaurentPoly:
 
     def rank(self):
         """Sum of all coefficients, i.e. the value at t1 = t2 = 1."""
-        return sum(self.terms.values(), Fraction(0))
+        return sum(self.terms.values())
 
     def coeff(self, a, b):
-        return self.terms.get((a, b), Fraction(0))
+        return self.terms.get((a, b), 0)
 
-    def divide_exact(self, divisor, max_steps=100000):
-        """Exact division by a LaurentPoly whose lex-least term is a unit.
+    def divide_exact(self, divisor):
+        """Exact division by a nonzero LaurentPoly, lex-least terms first.
 
-        Raises ValueError if the division does not come out exact.
+        Lex order is compatible with multiplication of monomials, so an
+        exact quotient's lex-greatest exponent is max(self) - max(divisor);
+        a quotient term beyond it means the division is not exact, and
+        raises ValueError.
         """
         if not divisor.terms:
             raise ZeroDivisionError("division by zero polynomial")
+        if not self.terms:
+            return LaurentPoly.zero()
         lead = min(divisor.terms)
         lead_c = divisor.terms[lead]
+        top, dtop = max(self.terms), max(divisor.terms)
+        last = (top[0] - dtop[0], top[1] - dtop[1])
         remainder = self
         quotient = {}
-        steps = 0
         while remainder.terms:
-            steps += 1
-            if steps > max_steps:
-                raise ValueError("division did not terminate; not exact")
             e = min(remainder.terms)
-            c = remainder.terms[e] / lead_c
             q = (e[0] - lead[0], e[1] - lead[1])
-            quotient[q] = quotient.get(q, 0) + c
+            if q > last:
+                raise ValueError("division is not exact")
+            c = Fraction(remainder.terms[e], lead_c)
+            quotient[q] = c
             remainder = remainder - LaurentPoly.monomial(q[0], q[1], c) * divisor
         return LaurentPoly(quotient)
 

@@ -1,8 +1,11 @@
-"""Truncated power series over exact rationals.
+"""Truncated power series with exact coefficients.
 
 Series2 is a bivariate series in q1, q2 truncated by total degree.
 GradedPoly is a single-variable truncated polynomial used to carry a
 formal (cohomological) grading through otherwise numeric computations.
+Both store their coefficients as given: integer inputs stay integers, and
+a Fraction appears only where a division (a rational exponent, a log, an
+exp or a division by a constant term) makes one.
 """
 
 from __future__ import annotations
@@ -18,16 +21,11 @@ class Series2:
     def __init__(self, cap, terms=None):
         if cap < 0:
             raise ValueError("cap must be nonnegative")
+        terms = terms or {}
+        if any(d1 < 0 or d2 < 0 for d1, d2 in terms):
+            raise ValueError("series exponents must be nonnegative")
         self.cap = int(cap)
-        pruned = {}
-        if terms:
-            for (d1, d2), coeff in terms.items():
-                if d1 < 0 or d2 < 0:
-                    raise ValueError("series exponents must be nonnegative")
-                coeff = Fraction(coeff)
-                if coeff and d1 + d2 <= cap:
-                    pruned[(int(d1), int(d2))] = coeff
-        self.terms = pruned
+        self.terms = {(d1, d2): c for (d1, d2), c in terms.items() if c and d1 + d2 <= cap}
 
     @classmethod
     def one(cls, cap):
@@ -38,7 +36,7 @@ class Series2:
         return cls(cap)
 
     def coeff(self, d1, d2):
-        return self.terms.get((d1, d2), Fraction(0))
+        return self.terms.get((d1, d2), 0)
 
     def constant_term(self):
         return self.coeff(0, 0)
@@ -197,27 +195,20 @@ def product_formula(factors, cap):
 class GradedPoly:
     """Truncated polynomial in one formal grading variable.
 
-    coeffs[k] is the (numeric) coefficient in degree k; degrees above cap
-    are discarded.
+    coeffs[k] is the (int or Fraction) coefficient in degree k; degrees
+    above cap are discarded.
     """
 
     __slots__ = ("cap", "coeffs")
 
     def __init__(self, cap, coeffs=None):
         self.cap = int(cap)
-        cs = [Fraction(0)] * (self.cap + 1)
-        if coeffs is not None:
-            for k, c in enumerate(coeffs):
-                if k > self.cap:
-                    break
-                cs[k] = Fraction(c)
-        self.coeffs = cs
+        cs = list(coeffs or ())[: self.cap + 1]
+        self.coeffs = cs + [0] * (self.cap + 1 - len(cs))
 
     @classmethod
     def one(cls, cap):
-        g = cls(cap)
-        g.coeffs[0] = Fraction(1)
-        return g
+        return cls(cap, [1])
 
     def __eq__(self, other):
         if isinstance(other, GradedPoly):
@@ -226,32 +217,24 @@ class GradedPoly:
 
     def __add__(self, other):
         cap = min(self.cap, other.cap)
-        g = GradedPoly(cap)
-        g.coeffs = [self.coeffs[k] + other.coeffs[k] for k in range(cap + 1)]
-        return g
+        return GradedPoly(cap, [self.coeffs[k] + other.coeffs[k] for k in range(cap + 1)])
 
     def __sub__(self, other):
         cap = min(self.cap, other.cap)
-        g = GradedPoly(cap)
-        g.coeffs = [self.coeffs[k] - other.coeffs[k] for k in range(cap + 1)]
-        return g
+        return GradedPoly(cap, [self.coeffs[k] - other.coeffs[k] for k in range(cap + 1)])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            g = GradedPoly(self.cap)
-            g.coeffs = [c * other for c in self.coeffs]
-            return g
+            return GradedPoly(self.cap, [c * other for c in self.coeffs])
         cap = min(self.cap, other.cap)
-        out = [Fraction(0)] * (cap + 1)
+        out = [0] * (cap + 1)
         for i, a in enumerate(self.coeffs[: cap + 1]):
             if not a:
                 continue
             for j, b in enumerate(other.coeffs[: cap + 1 - i]):
                 if b:
                     out[i + j] += a * b
-        g = GradedPoly(cap)
-        g.coeffs = out
-        return g
+        return GradedPoly(cap, out)
 
     __rmul__ = __mul__
 
@@ -260,16 +243,14 @@ class GradedPoly:
         if other.coeffs[0] == 0:
             raise ValueError("division requires unit constant term")
         cap = min(self.cap, other.cap)
-        inv0 = 1 / other.coeffs[0]
-        out = [Fraction(0)] * (cap + 1)
+        inv0 = Fraction(1, other.coeffs[0])
+        out = [0] * (cap + 1)
         for k in range(cap + 1):
             acc = self.coeffs[k]
             for j in range(1, k + 1):
                 acc -= other.coeffs[j] * out[k - j]
             out[k] = acc * inv0
-        g = GradedPoly(cap)
-        g.coeffs = out
-        return g
+        return GradedPoly(cap, out)
 
     def __repr__(self):
         return "GradedPoly(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -281,16 +262,7 @@ def linear_power(weight, mult, cap):
     A negative or fractional mult expands the binomial series; truncation
     at cap.
     """
-    out = [Fraction(0)] * (cap + 1)
-    out[0] = Fraction(1)
-    coeff = Fraction(1)
-    wpow = Fraction(1)
+    coeffs = [1]
     for k in range(1, cap + 1):
-        coeff = coeff * Fraction(mult - (k - 1), k)
-        if coeff == 0:
-            break
-        wpow = wpow * weight
-        out[k] = coeff * wpow
-    g = GradedPoly(cap)
-    g.coeffs = out
-    return g
+        coeffs.append(coeffs[-1] * Fraction(mult - (k - 1), k) * weight)
+    return GradedPoly(cap, coeffs)

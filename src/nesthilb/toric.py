@@ -187,19 +187,39 @@ def load_surface_config(path):
     """Load a surface plus named bundles from a YAML/JSON config file.
 
     Schema: {name: str, rays: [[x, y], ...], bundles: {label: [a_1, ...]}}.
-    Returns (surface, {label: bundle}).
+    A repeated key in any mapping, a name or a label that is not a string
+    is a ToricError.  Returns (surface, {label: bundle}).
     """
     import yaml
 
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            mapping = super().construct_mapping(node, deep)
+            seen = set()
+            for key_node, _ in node.value:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"repeated key {key!r}", key_node.start_mark
+                    )
+                seen.add(key)
+            return mapping
+
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ToricError(f"invalid YAML: {' '.join(str(exc).split())}")
     if not isinstance(data, dict) or "rays" not in data:
         raise ToricError("config must be a mapping with a 'rays' field")
-    surface = ToricSurface(str(data.get("name", "custom")), data["rays"])
+    name = data.get("name", "custom")
+    if not isinstance(name, str):
+        raise ToricError(f"'name' must be a string, got {name!r}")
+    surface = ToricSurface(name, data["rays"])
     named = data.get("bundles") or {}
     if not isinstance(named, dict):
         raise ToricError("'bundles' must be a mapping from labels to coefficient lists")
-    return surface, {str(label): surface.line_bundle(coeffs) for label, coeffs in named.items()}
+    for label in named:
+        if not isinstance(label, str):
+            raise ToricError(f"bundle labels must be strings, got {label!r}")
+    return surface, {label: surface.line_bundle(coeffs) for label, coeffs in named.items()}

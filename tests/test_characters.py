@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nesthilb.characters import (
     DegenerateSpecializationError,
+    LocalizationError,
     TrivialWeightError,
     block_character,
     block_character_resolution,
@@ -25,6 +26,7 @@ from nesthilb.partitions import (
     enumerate_nested_pairs,
     enumerate_partitions,
 )
+from nesthilb.series import GradedPoly, linear_power
 
 
 def test_block_rank():
@@ -143,3 +145,28 @@ def test_chern_poly_is_multiplicative(a, b, x, y):
     weights = set(a.terms) | set(b.terms)
     assume(all(u * x + v * y for u, v in weights))
     assert chern_poly(a - b, spec, 4) == chern_poly(a, spec, 4).divide(chern_poly(b, spec, 4))
+
+
+@given(
+    nontrivial_characters,
+    st.integers(-97, 97).filter(bool),
+    st.integers(-97, 97).filter(bool),
+    st.integers(0, 8),
+)
+@settings(max_examples=80)
+def test_chern_poly_matches_binomial_product(c, x, y, cap):
+    """Newton's identities in integers agree with multiplying out the
+    binomial series (1 + w g)^mult weight by weight."""
+    assume(all(u * x + v * y for u, v in c.terms))
+    expected = GradedPoly.one(cap)
+    for (u, v), mult in c.terms.items():
+        expected = expected * linear_power(u * x + v * y, mult, cap)
+    got = chern_poly(c, (x, y), cap)
+    assert got == expected
+    assert all(type(coeff) is int for coeff in got.coeffs)
+
+
+def test_chern_poly_rejects_non_integer_specialization():
+    # at x = 1/2 the first power sum is 1/2, which no integer e_1 matches
+    with pytest.raises(LocalizationError, match="remainder"):
+        chern_poly(LaurentPoly({(1, 0): 1}), (Fraction(1, 2), 1), 1)

@@ -142,8 +142,12 @@ PLANE_RAYS = "rays: [[1,0],[0,1],[-1,-1]]\n"
     "rays: [[1.7,0],[0,1],[-1,-1]]\n",
     PLANE_RAYS + "bundles:\n  h: [1.9, 0, 0]\n",
     PLANE_RAYS + "bundles:\n  h: [true, 0, 0]\n",
+    PLANE_RAYS + "bundles:\n  h: [1, 0, 0]\n  h: [0, 1, 0]\n",
+    "name: [1, 2]\n" + PLANE_RAYS,
+    PLANE_RAYS + "bundles:\n  1: [1, 0, 0]\n",
 ], ids=["wound-twice", "yaml-syntax", "rays-scalar", "bundles-list", "ray-triple",
-        "ray-float", "bundle-float", "bundle-bool"])
+        "ray-float", "bundle-float", "bundle-bool", "duplicate-label", "name-list",
+        "label-int"])
 def test_twice_wound_config_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "surface.yaml"
     path.write_text(config)

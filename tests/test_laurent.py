@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nesthilb.characters import euler_class
 from nesthilb.laurent import LaurentPoly
+from nesthilb.series import GradedPoly
 
 exponents = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 coeffs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 8))
@@ -77,3 +79,16 @@ def test_substitute_composes_weights():
     # t1 -> t^(2,-1), t2 -> t^(0,1)
     out = a.substitute((2, -1), (0, 1))
     assert out == LaurentPoly({(2, -1): 1, (0, 1): 1, (2, 0): Fraction(1, 2)})
+
+
+def test_divisions_of_integers_stay_exact():
+    """Integer inputs divide into ints or Fractions, never into floats."""
+    exact = (int, Fraction)
+    e = euler_class(LaurentPoly({(1, 0): 1, (0, 1): -2}), (3, 5))
+    assert e == Fraction(3, 25) and isinstance(e, exact)
+    g = GradedPoly(2, [1, 3, 0]).divide(GradedPoly(2, [2, 1]))
+    assert g.coeffs == [Fraction(1, 2), Fraction(5, 4), Fraction(-5, 8)]
+    assert all(isinstance(c, exact) for c in g.coeffs)
+    q = LaurentPoly({(0, 0): 1, (1, 0): 1}).divide_exact(LaurentPoly({(0, 0): 2, (1, 0): 2}))
+    assert q == LaurentPoly.constant(Fraction(1, 2))
+    assert all(isinstance(c, exact) for c in q.terms.values())
