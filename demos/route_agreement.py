@@ -6,7 +6,7 @@ Chern class of the untwisted fiber class.  Both are finite exact sums
 over torus fixed points; they must agree on the nose.
 """
 
-from nesthilb import builtin_surface, nested_route_invariant, product_route_invariant
+from nesthilb import builtin_surface, multi_bundle_invariant
 
 surface = builtin_surface("p2")
 bundle = surface.line_bundle([1, 0, 0])
@@ -17,8 +17,8 @@ for n1 in range(4):
     for n2 in range(n1 + 1):
         if n1 + n2 > 4:
             continue
-        a = nested_route_invariant(surface, bundle, n1, n2)
-        b = product_route_invariant(surface, bundle, n1, n2)
+        a = multi_bundle_invariant(surface, [bundle], [], n1, n2, route="nested")
+        b = multi_bundle_invariant(surface, [bundle], [], n1, n2, route="product")
         flag = "" if a == b else "   <-- disagreement!"
         print(f"{f'({n1},{n2})':>8} {str(a):>12} {str(b):>12}{flag}")
 

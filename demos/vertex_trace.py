@@ -6,7 +6,7 @@ reproduces the geometric pairing of top Chern classes coefficient by
 coefficient, with no geometry in sight.
 """
 
-from nesthilb import builtin_surface, product_route_pairing, w_trace
+from nesthilb import builtin_surface, multi_bundle_invariant, w_trace
 from nesthilb.fock import p2_lattice
 
 CAP = 2
@@ -23,7 +23,9 @@ print(f"{'(n1,n2)':>8} {'Fock trace':>12} {'localization':>14}")
 for n1 in range(CAP + 1):
     for n2 in range(CAP + 1):
         algebra = box.get((n1, n2), 0)
-        geometry = product_route_pairing(surface, b1, b2, n1, n2)
+        geometry = multi_bundle_invariant(
+            surface, [], [], n1, n2, route="product", tops=((b1, False), (b2, True))
+        )
         mark = "" if algebra == geometry else "  <-- disagreement!"
         print(f"{f'({n1},{n2})':>8} {str(algebra):>12} {str(geometry):>14}{mark}")
 

@@ -26,10 +26,7 @@ from .engine import (
     gottsche_product_coefficients,
     invariant_record,
     multi_bundle_invariant,
-    nested_route_invariant,
     predicted_series,
-    product_route_invariant,
-    product_route_pairing,
     universal_series_fit,
     z_nest_series,
 )

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 localization failure (specializations disagree, or no fresh
-nondegenerate specialization was drawn).  All
-rationals are emitted as decimal strings, never floats, and a fixed
-seed yields byte-identical output.
+nondegenerate specialization was drawn); any other exception is a bug
+and propagates as a traceback.  All rationals are emitted as decimal
+strings, never floats, and a fixed seed yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def cmd_series(args, out):
     surface, named = _resolve_surface(args.surface)
     bundle = _resolve_bundle(surface, named, args.bundle)
     direct = engine.z_nest_series(
-        surface, bundle, args.cap, seed=args.seed, jobs=args.jobs, route=args.route
+        surface, bundle, args.cap, seed=args.seed, route=args.route
     )
     closed = engine.closed_form_series(surface, bundle, args.cap) if args.compare else None
     rows = []
@@ -163,7 +163,7 @@ def cmd_series(args, out):
 
 
 def cmd_verify(args, out):
-    checks = verify.run_suite(args.suite, cap=args.cap, seed=args.seed, jobs=args.jobs)
+    checks = verify.run_suite(args.suite, cap=args.cap, seed=args.seed)
     failed = [c for c in checks if not c.passed]
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -187,7 +187,6 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=None,
                        help=f"specialization seed (default ${DEFAULT_SEED_ENV} or 0)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_int = sub.add_parser("integrate", help="one invariant at (n1, n2)")
@@ -197,6 +196,8 @@ def build_parser():
     p_int.add_argument("--n1", type=int, required=True)
     p_int.add_argument("--n2", type=int, required=True)
     p_int.add_argument("--route", choices=("nested", "product", "both"), default="nested")
+    p_int.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the fixed-point sum")
     common(p_int)
 
     p_ser = sub.add_parser("series", help="coefficient table up to a total-degree cap")
@@ -223,7 +224,7 @@ def main(argv=None, out=None):
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise UsageError("--jobs must be positive")
         if getattr(args, "cap", 0) is not None and getattr(args, "cap", 0) < 0:
             raise UsageError("--cap must be nonnegative")
@@ -234,7 +235,7 @@ def main(argv=None, out=None):
         if args.command == "series":
             return cmd_series(args, out)
         return cmd_verify(args, out)
-    except (UsageError, ToricError, FockError, ValueError, OSError) as exc:
+    except (UsageError, ToricError, FockError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LocalizationError as exc:

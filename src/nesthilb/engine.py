@@ -236,7 +236,10 @@ def _dual_spec_graded(compute, seed):
     return values[0], specs
 
 
-def _localize(surface, route, nums, dens, n1, n2, seed, jobs, tops=((None, False),)):
+_NESTED_LOCUS = ((None, False),)
+
+
+def _localize(surface, route, nums, dens, n1, n2, seed, tops=_NESTED_LOCUS, jobs=1):
     """The one localization pipeline: returns (value, specializations).
 
     The integrand is prod c(twist by nums) / prod c(twist by dens).  The
@@ -269,9 +272,9 @@ class InvariantRecord:
     route: str
     value: Fraction
     specializations: list = field(default_factory=list)
-    agreement: bool = True
 
     def to_dict(self):
+        # Disagreeing specializations raise, so a record always agrees.
         return {
             "surface": self.surface,
             "bundle": self.bundle,
@@ -280,40 +283,30 @@ class InvariantRecord:
             "route": self.route,
             "value": {"num": str(self.value.numerator), "den": str(self.value.denominator)},
             "specializations": [[str(x), str(y)] for x, y in self.specializations],
-            "agreement": self.agreement,
+            "agreement": True,
         }
 
 
-def nested_route_invariant(surface, bundle, n1, n2, seed=0, jobs=1):
-    """Integral of the total Chern class of the twisted fiber class
-    against the virtual class of the nested Hilbert scheme."""
-    return _localize(surface, "nested", [bundle], [], n1, n2, seed, jobs)[0]
+def multi_bundle_invariant(surface, nums, dens, n1, n2, *, seed=0, route="nested",
+                           tops=_NESTED_LOCUS):
+    """Integral of prod c(twist by nums) / prod c(twist by dens) against the
+    virtual class of the nested Hilbert scheme.
 
-
-def product_route_invariant(surface, bundle, n1, n2, seed=0, jobs=1):
-    """Same invariant computed on the product of Hilbert schemes, cut down
-    by the top Chern class of the untwisted fiber class."""
-    return _localize(surface, "product", [bundle], [], n1, n2, seed, jobs)[0]
-
-
-def multi_bundle_invariant(surface, nums, dens, n1, n2, seed=0, jobs=1, route="nested"):
-    """Invariant with integrand prod c(twist by M_i) / prod c(twist by N_j)."""
-    return _localize(surface, route, nums, dens, n1, n2, seed, jobs)[0]
-
-
-def product_route_pairing(surface, bundle1, bundle2, n1, n2, swap_second=True, seed=0, jobs=1):
-    """Pairing of two top Chern classes of fiber classes over the product.
-
-    With swap_second=True the second factor uses the chartwise-swapped
-    class (source and target ideals exchanged).
+    The "nested" route sums over the nested fixed points; the "product"
+    route sums over the product of Hilbert schemes, times the top Chern
+    class of the fiber class of each (bundle-or-None, swap) in `tops`, swap
+    exchanging source and target ideals chartwise.  The default top factor
+    cuts the product down to the nested locus, so both routes give the same
+    number; `tops=((b1, False), (b2, swap))` with no nums is the pairing of
+    two top Chern classes.  Only the product route reads `tops`.
     """
-    tops = ((bundle1, False), (bundle2, swap_second))
-    return _localize(surface, "product", [], [], n1, n2, seed, jobs, tops)[0]
+    return _localize(surface, route, nums, dens, n1, n2, seed, tops)[0]
 
 
 def invariant_record(surface, bundle, bundle_label, n1, n2, route="nested", seed=0, jobs=1):
-    """Compute one invariant and package it with its provenance."""
-    value, specs = _localize(surface, route, [bundle], [], n1, n2, seed, jobs)
+    """Compute one invariant and package it with its provenance; the route
+    sum runs in `jobs` worker processes."""
+    value, specs = _localize(surface, route, [bundle], [], n1, n2, seed, jobs=jobs)
     return InvariantRecord(surface.name, bundle_label, n1, n2, route, value, specs)
 
 
@@ -326,10 +319,10 @@ def series_grid(cap):
     return [(n1, n2) for n1 in range(cap + 1) for n2 in range(min(n1, cap - n1) + 1)]
 
 
-def z_nest_series(surface, bundle, cap, seed=0, jobs=1, route="nested"):
+def z_nest_series(surface, bundle, cap, seed=0, route="nested"):
     """Generating series of the invariants over series_grid(cap)."""
     terms = {
-        (n1, n2): multi_bundle_invariant(surface, [bundle], [], n1, n2, seed, jobs, route)
+        (n1, n2): multi_bundle_invariant(surface, [bundle], [], n1, n2, seed=seed, route=route)
         for n1, n2 in series_grid(cap)
     }
     return Series2(cap, terms)
@@ -379,12 +372,10 @@ def cobordism_generators():
     ]
 
 
-def universal_series_fit(cap, seed=0, jobs=1):
+def universal_series_fit(cap, seed=0):
     """Fit the four universal series from the generator computations."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     b = [
-        z_nest_series(surface, bundle, cap, seed=seed, jobs=jobs)
+        z_nest_series(surface, bundle, cap, seed=seed)
         for surface, bundle, _ in cobordism_generators()
     ]
     a1 = b[0].pow(-1) * b[1] * b[2].pow(Fraction(3, 2)) * b[3].pow(Fraction(-3, 2))

@@ -28,9 +28,9 @@ class FockError(Exception):
 class Lattice:
     """A finitely generated lattice with a symmetric integer pairing.
 
-    Carries the distinguished canonical vector K and the Euler coupling e
-    used by the trace identities; for the lattice of a surface's even
-    cohomology, e equals the rank.
+    Carries the distinguished canonical vector K.  The trace identities
+    take the Euler coupling e to be the rank, as it is for the lattice of
+    a surface's even cohomology.
     """
 
     def __init__(self, pairing, canonical):
@@ -48,7 +48,6 @@ class Lattice:
         self.rank = r
         self.pairing = pairing
         self.canonical = canonical
-        self.euler = r
 
     def pair(self, u, v):
         return sum(
@@ -320,13 +319,13 @@ def trace_product_series(lattice, m1, m2, cap):
     """Closed product the graded trace must reproduce.
 
     Three binomial families in (q1, q2) with exponents <M1, M2^D>,
-    <M1^D, M1> + <M2^D, M2> - e, and <M1^D, M2>; expanded far enough
-    to cover the box n1, n2 <= cap.
+    <M1^D, M1> + <M2^D, M2> - e, with e the rank, and <M1^D, M2>;
+    expanded far enough to cover the box n1, n2 <= cap.
     """
     m1d = lattice.dual(m1)
     m2d = lattice.dual(m2)
     a = lattice.pair(m1, m2d)
-    b = lattice.pair(m1d, m1) + lattice.pair(m2d, m2) - lattice.euler
+    b = lattice.pair(m1d, m1) + lattice.pair(m2d, m2) - lattice.rank
     c = lattice.pair(m1d, m2)
     return product_formula([((0, 1), a), ((1, 1), b), ((1, 0), c)], 2 * cap)
 

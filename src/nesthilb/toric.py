@@ -153,7 +153,10 @@ def builtin_surface(name):
     if name == "p1xp1":
         return ToricSurface("p1xp1", [(1, 0), (0, 1), (-1, 0), (0, -1)])
     if name.startswith("hirzebruch(") and name.endswith(")"):
-        a = int(name[len("hirzebruch(") : -1])
+        try:
+            a = int(name[len("hirzebruch(") : -1])
+        except ValueError:
+            raise ToricError(f"unknown surface {name!r}") from None
         return ToricSurface(name, [(1, 0), (0, 1), (-1, a), (0, -1)])
     raise ToricError(f"unknown surface {name!r}")
 
@@ -205,7 +208,7 @@ def load_surface_config(path):
                 seen.add(key)
             return mapping
 
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
             data = yaml.load(fh, Loader=UniqueKeyLoader)
         except yaml.YAMLError as exc:

@@ -40,7 +40,7 @@ def _surface_bundles(surface):
     ]
 
 
-def suite_gottsche(cap=6, seed=0, jobs=1):
+def suite_gottsche(cap=6, seed=0):
     checks = []
     for name in ("p2", "p1xp1", "hirzebruch(1)"):
         surface = builtin_surface(name)
@@ -75,13 +75,13 @@ def _grid_check(label, grid, values, names):
     return Check(label, not bad, "; ".join(bad))
 
 
-def suite_nestprod(cap=5, seed=0, jobs=1):
+def suite_nestprod(cap=5, seed=0):
     grid = engine.series_grid(cap)
     routes = ("nested", "product")
 
     def by_route(surface, nums, dens):
         return lambda n1, n2: [
-            engine.multi_bundle_invariant(surface, nums, dens, n1, n2, seed, jobs, route)
+            engine.multi_bundle_invariant(surface, nums, dens, n1, n2, seed=seed, route=route)
             for route in routes
         ]
 
@@ -104,12 +104,14 @@ def suite_nestprod(cap=5, seed=0, jobs=1):
         )
     )
 
-    def pairings(n1, n2):
-        swapped = engine.product_route_pairing(p2, h, m2, n1, n2, seed=seed, jobs=jobs)
-        dual = engine.product_route_pairing(
-            p2, h, m2.dual_twist(), n1, n2, swap_second=False, seed=seed, jobs=jobs
+    def pairing(n1, n2, m, swap):
+        return engine.multi_bundle_invariant(
+            p2, [], [], n1, n2, seed=seed, route="product", tops=((h, False), (m, swap))
         )
-        return swapped, (-1) ** (n1 + n2) * dual
+
+    def pairings(n1, n2):
+        dual = pairing(n1, n2, m2.dual_twist(), False)
+        return pairing(n1, n2, m2, True), (-1) ** (n1 + n2) * dual
 
     checks.append(
         _grid_check(
@@ -121,12 +123,12 @@ def suite_nestprod(cap=5, seed=0, jobs=1):
     return checks
 
 
-def suite_theorem4(cap=5, seed=0, jobs=1):
+def suite_theorem4(cap=5, seed=0):
     checks = []
     for name in ("p2", "p1xp1"):
         surface = builtin_surface(name)
         for label, bundle in _surface_bundles(surface):
-            direct = engine.z_nest_series(surface, bundle, cap, seed=seed, jobs=jobs)
+            direct = engine.z_nest_series(surface, bundle, cap, seed=seed)
             closed = engine.closed_form_series(surface, bundle, cap)
             checks.append(
                 _grid_check(
@@ -137,19 +139,19 @@ def suite_theorem4(cap=5, seed=0, jobs=1):
                 )
             )
     p2 = builtin_surface("p2")
-    spot = engine.nested_route_invariant(p2, p2.structure_sheaf(), 1, 0, seed=seed, jobs=jobs)
+    spot = engine.multi_bundle_invariant(p2, [p2.structure_sheaf()], [], 1, 0, seed=seed)
     checks.append(Check("spot value at (1,0) on the plane equals 9", spot == 9, f"got {spot}"))
     return checks
 
 
-def suite_universality(cap=4, seed=0, jobs=1):
+def suite_universality(cap=4, seed=0):
     checks = []
-    fit = engine.universal_series_fit(cap, seed=seed, jobs=jobs)
+    fit = engine.universal_series_fit(cap, seed=seed)
     f1 = builtin_surface("hirzebruch(1)")
     for label, bundle in (("O", f1.structure_sheaf()), ("O(1,0,2,0)", f1.line_bundle([1, 0, 2, 0]))):
         cn = chern_numbers(f1, bundle)
         pred = engine.predicted_series(fit, cn)
-        direct = engine.z_nest_series(f1, bundle, cap, seed=seed, jobs=jobs)
+        direct = engine.z_nest_series(f1, bundle, cap, seed=seed)
         checks.append(
             Check(
                 f"universal fit predicts hirzebruch(1)/{label} to degree {cap}",
@@ -160,7 +162,7 @@ def suite_universality(cap=4, seed=0, jobs=1):
     return checks
 
 
-def suite_fock(cap=3, seed=0, jobs=1):
+def suite_fock(cap=3, seed=0):
     checks = []
     p2 = fock.p2_lattice()
     quadric = fock.p1xp1_lattice()
@@ -200,7 +202,7 @@ def suite_fock(cap=3, seed=0, jobs=1):
             )
         )
     zero_box = fock.w_trace(p2, p2.zero(), p2.zero(), cap)
-    gottsche = engine.gottsche_product_coefficients(p2.euler, cap)
+    gottsche = engine.gottsche_product_coefficients(p2.rank, cap)
     diag_ok = all(
         zero_box.get((n, n), 0) == gottsche[n] for n in range(cap + 1)
     ) and all(n1 == n2 for n1, n2 in zero_box)
@@ -214,7 +216,7 @@ def suite_fock(cap=3, seed=0, jobs=1):
     return checks
 
 
-def suite_oracle(cap=3, seed=0, jobs=1):
+def suite_oracle(cap=3, seed=0):
     checks = []
     bad = []
     for n1 in range(cap + 1):
@@ -282,8 +284,8 @@ _SUITE_FUNCS = {
 SUITES = tuple(_SUITE_FUNCS)
 
 
-def run_suite(name, cap=None, seed=0, jobs=1):
+def run_suite(name, cap=None, seed=0):
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}")
     caps = {} if cap is None else {"cap": cap}
-    return _SUITE_FUNCS[name](seed=seed, jobs=jobs, **caps)
+    return _SUITE_FUNCS[name](seed=seed, **caps)

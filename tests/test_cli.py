@@ -159,6 +159,14 @@ def test_twice_wound_config_is_usage_error(tmp_path, capsys, config):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_undecodable_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "surface.yaml"
+    path.write_bytes(b"rays: \x80\x81\n")
+    code, text = run_cli(["integrate", "--surface", str(path), "--n1", "1", "--n2", "0"])
+    assert (code, text) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith("error: invalid YAML")
+
+
 def test_empty_nesting_range_is_usage_error():
     code, _ = run_cli(["integrate", "--surface", "p2", "--n1", "1", "--n2", "2"])
     assert code == 2
@@ -167,6 +175,32 @@ def test_empty_nesting_range_is_usage_error():
 def test_unknown_surface_is_usage_error():
     code, _ = run_cli(["integrate", "--surface", "wat", "--n1", "0", "--n2", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["hirzebruch(x)", "hirzebruch()", "hirzebruch(1.5)"])
+def test_malformed_hirzebruch_is_unknown_surface(capsys, name):
+    code, text = run_cli(["integrate", "--surface", name, "--n1", "0", "--n2", "0"])
+    assert (code, text) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err.startswith(f"error: unknown surface {name!r}")
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(engine, "invariant_record", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run_cli(["integrate", "--surface", "p2", "--n1", "1", "--n2", "0"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--surface", "p2", "--cap", "1", "--jobs", "1"],
+    ["verify", "oracle", "--jobs", "1"],
+], ids=["series", "verify"])
+def test_jobs_is_an_integrate_option_only(argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv, out=io.StringIO())
+    assert err.value.code == cli.EXIT_USAGE
 
 
 def test_bad_bundle_is_usage_error():
@@ -195,6 +229,12 @@ def test_fock_cap_zero_is_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_universality_cap_zero_passes():
+    code, text = run_cli(["verify", "universality", "--cap", "0"])
+    assert code == 0
+    assert "universality: pass" in text
+
+
 def test_verify_suite_passes():
     code, text = run_cli(["verify", "oracle", "--cap", "2"])
     assert code == 0
@@ -203,7 +243,7 @@ def test_verify_suite_passes():
 
 
 def test_verify_failure_exits_one(monkeypatch):
-    def broken(cap=None, seed=0, jobs=1):
+    def broken(cap=None, seed=0):
         return [verify.Check("synthetic failure", False, "details here")]
 
     monkeypatch.setitem(verify._SUITE_FUNCS, "gottsche", broken)
@@ -235,8 +275,8 @@ def test_jobs_reuse_one_worker_pool(monkeypatch):
     monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
     engine._pool.cache_clear()
     try:
-        code, _ = run_cli(["series", "--surface", "p2", "--bundle", "K", "--cap", "4",
-                           "--jobs", "2"])
+        code, _ = run_cli(["integrate", "--surface", "p2", "--bundle", "K",
+                           "--n1", "3", "--n2", "1", "--route", "both", "--jobs", "2"])
     finally:
         engine._pool.cache_clear()
         for pool in built:

@@ -1,7 +1,6 @@
 """Localization engine: fixed points, dual routes, series, universality."""
 
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -71,28 +70,28 @@ def test_product_fixed_points_include_non_nested():
 
 
 def test_trivial_invariants():
-    assert engine.nested_route_invariant(P2, P2.structure_sheaf(), 0, 0) == 1
-    assert engine.nested_route_invariant(P2, P2.structure_sheaf(), 1, 0) == 9
+    assert engine.multi_bundle_invariant(P2, [P2.structure_sheaf()], [], 0, 0) == 1
+    assert engine.multi_bundle_invariant(P2, [P2.structure_sheaf()], [], 1, 0) == 9
 
 
 def test_route_agreement_small():
     for surface in (P2, Q):
         bundle = surface.canonical_bundle()
         for n1, n2 in ((1, 0), (1, 1), (2, 0), (2, 1)):
-            a = engine.nested_route_invariant(surface, bundle, n1, n2)
-            b = engine.product_route_invariant(surface, bundle, n1, n2)
+            a = engine.multi_bundle_invariant(surface, [bundle], [], n1, n2, route="nested")
+            b = engine.multi_bundle_invariant(surface, [bundle], [], n1, n2, route="product")
             assert a == b, (surface.name, n1, n2)
 
 
 def test_nested_route_rejects_empty_range():
     with pytest.raises(ValueError):
-        engine.nested_route_invariant(P2, P2.structure_sheaf(), 1, 2)
+        engine.multi_bundle_invariant(P2, [P2.structure_sheaf()], [], 1, 2)
 
 
 def test_seed_independence_of_values():
     bundle = P2.line_bundle([1, 0, 0])
     vals = {
-        engine.nested_route_invariant(P2, bundle, 2, 1, seed=s) for s in (0, 1, 7)
+        engine.multi_bundle_invariant(P2, [bundle], [], 2, 1, seed=s) for s in (0, 1, 7)
     }
     assert len(vals) == 1
 
@@ -127,11 +126,14 @@ def test_duality_sign_identity():
     """Swapping the second factor equals twisting it by K - M with sign."""
     m1 = P2.line_bundle([1, 0, 0])
     m2 = P2.line_bundle([0, 1, 1])
-    for n1, n2 in ((1, 0), (1, 1), (2, 1), (2, 2)):
-        swapped = engine.product_route_pairing(P2, m1, m2, n1, n2, swap_second=True)
-        dual = engine.product_route_pairing(
-            P2, m1, m2.dual_twist(), n1, n2, swap_second=False
+    def pairing(n1, n2, m, swap):
+        return engine.multi_bundle_invariant(
+            P2, [], [], n1, n2, route="product", tops=((m1, False), (m, swap))
         )
+
+    for n1, n2 in ((1, 0), (1, 1), (2, 1), (2, 2)):
+        swapped = pairing(n1, n2, m2, True)
+        dual = pairing(n1, n2, m2.dual_twist(), False)
         assert swapped == (-1) ** (n1 + n2) * dual, (n1, n2)
 
 
@@ -159,13 +161,13 @@ def test_universality_fit_reproduces_generators():
         assert pred.terms == direct.terms
 
 
-@pytest.mark.parametrize("invariant", [
-    partial(engine.nested_route_invariant, P2, P2.canonical_bundle()),
-    partial(engine.product_route_invariant, P2, P2.canonical_bundle()),
-    partial(engine.product_route_pairing, P2, P2.canonical_bundle(), P2.canonical_bundle()),
-], ids=["nested", "product", "pairing"])
-def test_parallel_jobs_match_serial(invariant):
-    assert invariant(2, 1, jobs=1) == invariant(2, 1, jobs=2)
+@pytest.mark.parametrize("route", ["nested", "product"])
+def test_parallel_jobs_match_serial(route):
+    records = [
+        engine.invariant_record(P2, P2.canonical_bundle(), "K", 2, 1, route=route, jobs=jobs)
+        for jobs in (1, 2)
+    ]
+    assert records[0] == records[1]
 
 
 def test_invariant_record_serialization():

@@ -118,5 +118,7 @@ def test_trace_agrees_with_geometric_pairing():
     box = fock.w_trace(P2, (0, 1, 0), (0, 2, 0), 2)
     for n1 in range(3):
         for n2 in range(3):
-            geo = engine.product_route_pairing(surface, b1, b2, n1, n2)
+            geo = engine.multi_bundle_invariant(
+                surface, [], [], n1, n2, route="product", tops=((b1, False), (b2, True))
+            )
             assert box.get((n1, n2), Fraction(0)) == geo, (n1, n2)

@@ -48,14 +48,6 @@ def test_rank_is_evaluation_at_one(a):
     assert a.rank() == sum(a.terms.values())
 
 
-@given(polys, st.integers(0, 4))
-def test_power_matches_repeated_product(a, n):
-    expected = LaurentPoly.one()
-    for _ in range(n):
-        expected = expected * a
-    assert a**n == expected
-
-
 @settings(max_examples=60)
 @given(polys, st.dictionaries(exponents, st.integers(-5, 5), min_size=1, max_size=4))
 def test_exact_division_roundtrip(q, d_terms):
