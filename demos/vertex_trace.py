@@ -6,17 +6,17 @@ reproduces the geometric pairing of top Chern classes coefficient by
 coefficient, with no geometry in sight.
 """
 
-from nesthilb import builtin_surface, multi_bundle_invariant, w_trace
-from nesthilb.fock import p2_lattice
+from nesthilb import Lattice, builtin_surface, multi_bundle_invariant, w_trace
 
 CAP = 2
-
-lattice = p2_lattice()
-box = w_trace(lattice, (0, 1, 0), (0, 2, 0), CAP)
 
 surface = builtin_surface("p2")
 b1 = surface.line_bundle([1, 0, 0])
 b2 = surface.line_bundle([0, 2, 0])
+
+# the lattice and its vectors come from the fan's intersection form
+lattice = Lattice(surface)
+box = w_trace(lattice, lattice.vector(b1), lattice.vector(b2), CAP)
 
 print("plane lattice, twists by degree-1 and degree-2 classes")
 print(f"{'(n1,n2)':>8} {'Fock trace':>12} {'localization':>14}")

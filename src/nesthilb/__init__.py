@@ -10,7 +10,6 @@ from .characters import (
     block_character_resolution,
     chern_poly,
     euler_class,
-    substitute_weights,
     trivial_multiplicity,
     virtual_tangent_character,
     virtual_tangent_character_resolution,
@@ -36,8 +35,6 @@ from .fock import (
     apply_alpha,
     gamma_commutation_check,
     gamma_operator,
-    p1xp1_lattice,
-    p2_lattice,
     trace_matches_product,
     trace_product_series,
     w_trace,

@@ -94,14 +94,6 @@ def virtual_tangent_character_resolution(pair: NestedPair):
     return numerator.divide_exact(denom)
 
 
-def substitute_weights(c, u, v):
-    """Map chart-local weights into the global lattice: t1 -> t^u, t2 -> t^v."""
-    det = u[0] * v[1] - u[1] * v[0]
-    if det not in (1, -1):
-        raise LocalizationError("singular chart")
-    return c.substitute(u, v)
-
-
 def trivial_multiplicity(c):
     return c.coeff(0, 0)
 

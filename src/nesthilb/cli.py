@@ -187,7 +187,6 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=None,
                        help=f"specialization seed (default ${DEFAULT_SEED_ENV} or 0)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_int = sub.add_parser("integrate", help="one invariant at (n1, n2)")
     p_int.add_argument("--surface", required=True, help="builtin name or config path")
@@ -198,6 +197,7 @@ def build_parser():
     p_int.add_argument("--route", choices=("nested", "product", "both"), default="nested")
     p_int.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the fixed-point sum")
+    p_int.add_argument("--format", choices=("json", "csv"), default="json")
     common(p_int)
 
     p_ser = sub.add_parser("series", help="coefficient table up to a total-degree cap")
@@ -207,6 +207,7 @@ def build_parser():
     p_ser.add_argument("--route", choices=("nested", "product"), default="nested")
     p_ser.add_argument("--compare", choices=("closed-form",), default=None,
                        help="add the closed-product coefficient and a match flag")
+    p_ser.add_argument("--format", choices=("json", "csv"), default="json")
     common(p_ser)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")

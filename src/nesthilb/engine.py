@@ -28,7 +28,6 @@ from .characters import (
     block_character,
     chern_poly,
     euler_class,
-    substitute_weights,
     virtual_tangent_character,
 )
 from .laurent import LaurentPoly
@@ -86,12 +85,12 @@ def enumerate_global_fixed_points(surface, n1, n2):
 
 @lru_cache(maxsize=None)
 def _global_block(u, v, mu_a, mu_b):
-    return substitute_weights(block_character(mu_a, mu_b), u, v)
+    return block_character(mu_a, mu_b).substitute(u, v)
 
 
 @lru_cache(maxsize=None)
 def _global_tangent(u, v, outer, inner):
-    return substitute_weights(virtual_tangent_character(NestedPair(outer, inner)), u, v)
+    return virtual_tangent_character(NestedPair(outer, inner)).substitute(u, v)
 
 
 def _tangent(surface, outer, inner):

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .series import linear_power, product_formula
+from .toric import intersection_number
 
 
 class FockError(Exception):
@@ -26,28 +27,36 @@ class FockError(Exception):
 
 
 class Lattice:
-    """A finitely generated lattice with a symmetric integer pairing.
+    """Even cohomology of a toric surface with its integer intersection form.
 
-    Carries the distinguished canonical vector K.  The trace identities
-    take the Euler coupling e to be the rank, as it is for the lattice of
-    a surface's even cohomology.
+    Basis (1, D_3, ..., D_k, pt) of rank k = e(S): the rays r_1, r_2 of
+    chart 0 are a Z-basis, so the relations sum <m, r_i> D_i = 0 eliminate
+    D_1 and D_2, and the other boundary divisors pair by the fan's form.
+    Carries the canonical vector K; the trace identities take the Euler
+    coupling e to be the rank.
     """
 
-    def __init__(self, pairing, canonical):
-        pairing = tuple(tuple(int(c) for c in row) for row in pairing)
-        r = len(pairing)
-        if any(len(row) != r for row in pairing):
-            raise FockError("pairing must be square")
-        for i in range(r):
-            for j in range(r):
-                if pairing[i][j] != pairing[j][i]:
-                    raise FockError("pairing must be symmetric")
-        canonical = tuple(int(c) for c in canonical)
-        if len(canonical) != r:
-            raise FockError("canonical vector has wrong length")
-        self.rank = r
-        self.pairing = pairing
-        self.canonical = canonical
+    def __init__(self, surface):
+        self.surface = surface
+        k = self.rank = surface.euler_number
+        units = [surface.line_bundle([int(i == j) for i in range(k)]) for j in range(2, k)]
+        pairing = [[0] * k for _ in range(k)]
+        pairing[0][k - 1] = pairing[k - 1][0] = 1
+        for i, a in enumerate(units, 1):
+            for j, b in enumerate(units, 1):
+                pairing[i][j] = intersection_number(surface, a, b)
+        self.pairing = tuple(map(tuple, pairing))
+        self.canonical = self.vector(surface.canonical_bundle())
+
+    def vector(self, bundle):
+        """Coordinates of c1(O(sum a_i D_i)), with D_1, D_2 eliminated by chart 0's dual basis."""
+        chart, a = self.surface.charts[0], bundle.coeffs
+        dot = lambda m, r: m[0] * r[0] + m[1] * r[1]
+        divisors = (
+            a[j] - a[0] * dot(chart.u, r) - a[1] * dot(chart.v, r)
+            for j, r in enumerate(self.surface.rays[2:], 2)
+        )
+        return (0, *divisors, 0)
 
     def pair(self, u, v):
         return sum(
@@ -66,19 +75,6 @@ class Lattice:
 
     def zero(self):
         return (0,) * self.rank
-
-
-def p2_lattice():
-    """Even cohomology of the projective plane: basis (1, h, pt), K = -3h."""
-    return Lattice([[0, 0, 1], [0, 1, 0], [1, 0, 0]], (0, -3, 0))
-
-
-def p1xp1_lattice():
-    """Even cohomology of the quadric: basis (1, f1, f2, pt), K = -2f1-2f2."""
-    return Lattice(
-        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
-        (0, -2, -2, 0),
-    )
 
 
 def grading(state):

@@ -121,19 +121,6 @@ class EquivariantLineBundle:
             self.surface, [-1 - a for a in self.coeffs]
         )
 
-    def __add__(self, other):
-        if other.surface is not self.surface:
-            raise ToricError("bundles live on different surfaces")
-        return EquivariantLineBundle(
-            self.surface, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self):
-        return EquivariantLineBundle(self.surface, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __repr__(self):
         return f"EquivariantLineBundle({self.surface.name!r}, {self.coeffs})"
 

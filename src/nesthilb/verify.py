@@ -164,8 +164,8 @@ def suite_universality(cap=4, seed=0):
 
 def suite_fock(cap=3, seed=0):
     checks = []
-    p2 = fock.p2_lattice()
-    quadric = fock.p1xp1_lattice()
+    p2 = fock.Lattice(builtin_surface("p2"))
+    quadric = fock.Lattice(builtin_surface("p1xp1"))
     checks.append(
         Check(
             "Heisenberg commutation relations up to grading 4",

@@ -283,3 +283,9 @@ def test_jobs_reuse_one_worker_pool(monkeypatch):
             pool.shutdown()
     assert code == 0
     assert len(built) == 1
+
+
+def test_verify_has_no_format_option():
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "oracle", "--cap", "1", "--format", "csv"], out=io.StringIO())
+    assert err.value.code == cli.EXIT_USAGE

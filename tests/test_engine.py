@@ -7,7 +7,6 @@ import pytest
 from nesthilb import engine
 from nesthilb.characters import (
     DegenerateSpecializationError,
-    substitute_weights,
     virtual_tangent_character_resolution,
 )
 from nesthilb.engine import SpecializationDisagreement
@@ -53,9 +52,7 @@ def test_engine_tangent_is_the_oracle_sum(name):
         for outer, inner in engine.enumerate_global_fixed_points(surface, n1, n2):
             oracle = sum(
                 (
-                    substitute_weights(
-                        virtual_tangent_character_resolution(NestedPair(o, i)), c.u, c.v
-                    )
+                    virtual_tangent_character_resolution(NestedPair(o, i)).substitute(c.u, c.v)
                     for c, o, i in zip(surface.charts, outer, inner)
                 ),
                 LaurentPoly.zero(),

@@ -3,21 +3,25 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from test_toric import surfaces_with_bundles
 
 from nesthilb import engine, fock
 from nesthilb.fock import FockElement, Lattice, apply_alpha, gamma_operator
 from nesthilb.laurent import LaurentPoly
-from nesthilb.toric import builtin_surface
+from nesthilb.toric import builtin_surface, intersection_number
 
-P2 = fock.p2_lattice()
-QUAD = fock.p1xp1_lattice()
+P2 = Lattice(builtin_surface("p2"))
+QUAD = Lattice(builtin_surface("p1xp1"))
 
 
-def test_lattice_validation():
-    with pytest.raises(fock.FockError):
-        Lattice([[0, 1], [2, 0]], (0, 0))  # not symmetric
-    with pytest.raises(fock.FockError):
-        Lattice([[1]], (0, 0))  # canonical vector length
+def test_lattice_is_the_intersection_form():
+    # the fan-derived forms equal the hand-typed even cohomology:
+    # P^2 on (1, h, pt) with K = -3h, the quadric on (1, f1, f2, pt) with K = -2f1 - 2f2
+    assert P2.pairing == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert P2.canonical == (0, -3, 0)
+    assert QUAD.pairing == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+    assert QUAD.canonical == (0, -2, -2, 0)
 
 
 def test_lattice_pairing_and_dual():
@@ -104,21 +108,56 @@ def test_trace_matches_closed_product():
         assert fock.trace_matches_product(lattice, m1, m2, 3), (m1, m2)
 
 
-def test_trace_on_plain_intersection_form():
-    # rank-2 lattice with the quadric form and matching Euler coupling
-    lattice = Lattice([[0, 1], [1, 0]], (-2, -2))
-    assert fock.trace_matches_product(lattice, (1, 0), (0, 2), 3)
+def _swapped_pairing(surface, b1, b2, n1, n2):
+    return engine.multi_bundle_invariant(
+        surface, [], [], n1, n2, route="product", tops=((b1, False), (b2, True))
+    )
 
 
-def test_trace_agrees_with_geometric_pairing():
+@pytest.mark.parametrize("name, c1, c2", [
+    ("p2", [1, 0, 0], [0, 2, 0]),
+    ("p1xp1", [1, 0, 0, 0], [0, 1, 1, 0]),
+    ("hirzebruch(1)", [0, 1, 0, 0], [1, 0, 0, 1]),
+], ids=["p2", "p1xp1", "hirzebruch(1)"])
+def test_trace_agrees_with_geometric_pairing(name, c1, c2):
     """Algebraic trace coefficients equal the localization pairing."""
-    surface = builtin_surface("p2")
-    b1 = surface.line_bundle([1, 0, 0])
-    b2 = surface.line_bundle([0, 2, 0])
-    box = fock.w_trace(P2, (0, 1, 0), (0, 2, 0), 2)
+    surface = builtin_surface(name)
+    lattice = Lattice(surface)
+    b1, b2 = surface.line_bundle(c1), surface.line_bundle(c2)
+    m1, m2 = lattice.vector(b1), lattice.vector(b2)
+    box = fock.w_trace(lattice, m1, m2, 3)
+    series = fock.trace_product_series(lattice, m1, m2, 3)
+    for n1 in range(4):
+        for n2 in range(4):
+            geo = _swapped_pairing(surface, b1, b2, n1, n2)
+            assert box.get((n1, n2), 0) == series.coeff(n1, n2) == geo, (n1, n2)
+
+
+def _det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(surfaces_with_bundles())
+def test_random_surface_lattice_and_trace(surface_bundle):
+    surface, bundle = surface_bundle
+    lattice = Lattice(surface)
+    k = surface.canonical_bundle()
+    divisors = [list(row[1:-1]) for row in lattice.pairing[1:-1]]
+    assert _det(divisors) in (1, -1)
+    for l1, l2 in ((bundle, bundle), (bundle, k), (k, k)):
+        assert lattice.pair(lattice.vector(l1), lattice.vector(l2)) == intersection_number(
+            surface, l1, l2
+        )
+    m1, m2 = lattice.vector(bundle), lattice.canonical
+    box = fock.w_trace(lattice, m1, m2, 2)
+    series = fock.trace_product_series(lattice, m1, m2, 2)
     for n1 in range(3):
-        for n2 in range(3):
-            geo = engine.multi_bundle_invariant(
-                surface, [], [], n1, n2, route="product", tops=((b1, False), (b2, True))
-            )
-            assert box.get((n1, n2), Fraction(0)) == geo, (n1, n2)
+        for n2 in range(3 - n1):
+            geo = _swapped_pairing(surface, bundle, k, n1, n2)
+            assert box.get((n1, n2), 0) == series.coeff(n1, n2) == geo, (n1, n2)
