@@ -5,7 +5,11 @@ Two independent routes compute the same invariants:
 * the nested route sums over the pairs (outer, inner) of partition
   tuples, indexed like the charts, that are nested on every chart,
   weighting total Chern classes of the twisted fiber classes by the
-  inverse Euler class of the virtual tangent character;
+  inverse Euler class of the virtual tangent character.  At a fixed
+  specialization both classes are multiplicative over the charts, so the
+  sum over the fixed points of every (n1, n2) at once is the product over
+  the charts of local tables {(a, b): sum over the one-chart nested pairs
+  of sizes (a, b)}, truncated to the requested grid;
 * the product route sums over all pairs of partition tuples (nested or
   not) on the product of two Hilbert schemes, cutting down to the nested
   locus with the top Chern class of the untwisted fiber class.
@@ -31,9 +35,9 @@ from .characters import (
     virtual_tangent_character,
 )
 from .laurent import LaurentPoly
-from .partitions import NestedPair, Partition, enumerate_partitions
+from .partitions import NestedPair, Partition, enumerate_nested_pairs, enumerate_partitions
 from .series import GradedPoly, Series2, product_formula
-from .toric import builtin_surface, chern_numbers
+from .toric import builtin_surface, check_bundle, chern_numbers
 
 MAX_REDRAWS = 8
 
@@ -66,7 +70,10 @@ def enumerate_product_fixed_points(surface, n1, n2):
 
 def enumerate_global_fixed_points(surface, n1, n2):
     """The nested fixed points: the product fixed points (outer, inner) with
-    sizes (n1, n2) whose inner partition fits in the outer one on every chart."""
+    sizes (n1, n2) whose inner partition fits in the outer one on every chart.
+
+    The nested route never lists them; they are the reference its chart
+    tables are tested against."""
     if n1 < n2:
         raise ValueError("empty nesting range")
     k = len(surface.charts)
@@ -128,14 +135,57 @@ def _integrand_character(surface, nums, dens, tup_a, tup_b):
 # localization sums
 
 
-def _nested_sum(surface, nums, dens, n1, n2, spec, points):
-    cap = n1 + n2
-    total = GradedPoly(cap)
-    for outer, inner in points:
-        e = euler_class(_tangent(surface, outer, inner), spec)
-        integrand = _integrand_character(surface, nums, dens, outer, inner)
-        total = total + chern_poly(integrand, spec, cap) * (1 / e)
-    return total
+def _local_keys(grid):
+    """The one-chart sizes (a, b) that fit under a target (n1, n2) of the grid:
+    a <= n1, b <= n2 and a - b <= n1 - n2, so that each is the component on
+    one chart of a nested fixed point of the grid."""
+    keys = set()
+    for n1, n2 in grid:
+        if n1 < n2:
+            raise ValueError("empty nesting range")
+        keys.update(
+            (a, b) for a in range(n1 + 1) for b in range(min(a, n2) + 1) if a - b <= n1 - n2
+        )
+    return sorted(keys)
+
+
+def _chart_table(chart, nums, dens, keys, spec, cap):
+    """One chart's table {(a, b): sum of c(integrand) / e(tangent) over the
+    nested pairs of sizes (a, b) on this chart}."""
+    table = {}
+    for a, b in keys:
+        total = GradedPoly(cap)
+        for pair in enumerate_nested_pairs(a, b):
+            e = euler_class(_global_tangent(chart.u, chart.v, pair.outer, pair.inner), spec)
+            block = _global_block(chart.u, chart.v, pair.outer, pair.inner)
+            integrand = LaurentPoly.zero()
+            for m in nums:
+                integrand = integrand + block.shift(m.weights[chart.index])
+            for m in dens:
+                integrand = integrand - block.shift(m.weights[chart.index])
+            total = total + chern_poly(integrand, spec, cap) * (1 / e)
+        table[(a, b)] = total
+    return table
+
+
+def _nested_sums(surface, nums, dens, grid, spec):
+    """The nested localization sums {(n1, n2): GradedPoly of cap n1 + n2} of
+    every target of the grid: the product of the chart tables, keeping only
+    the sizes that fit under a target."""
+    keys = _local_keys(grid)
+    cap = max(n1 + n2 for n1, n2 in grid)
+    fits = set(keys)
+    total = {(0, 0): GradedPoly.one(cap)}
+    for chart in surface.charts:
+        table = _chart_table(chart, nums, dens, keys, spec, cap)
+        product = {}
+        for (a1, b1), g1 in total.items():
+            for (a2, b2), g2 in table.items():
+                key = (a1 + a2, b1 + b2)
+                if key in fits:
+                    product[key] = product.get(key, GradedPoly(cap)) + g1 * g2
+        total = product
+    return {(n1, n2): GradedPoly(n1 + n2, total[n1, n2].coeffs) for n1, n2 in grid}
 
 
 def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
@@ -197,12 +247,13 @@ def draw_specialization(rng):
 
 
 def _dual_spec_graded(compute, seed):
-    """Run `compute(spec)` at two agreeing generic specializations.
+    """Run `compute(spec)`, a dict {target: GradedPoly}, at two agreeing
+    generic specializations; returns ({target: top coefficient}, specs).
 
     A draw that is degenerate or repeats the earlier spec is redrawn, up to
-    MAX_REDRAWS times for each value; checks that the coefficients below
-    the top degree `graded.cap` vanish and that the top coefficient is
-    identical at both specializations.
+    MAX_REDRAWS times for each value; checks at every target that the
+    coefficients below the top degree `graded.cap` vanish and that the top
+    coefficient is identical at both specializations.
     """
     rng = random.Random(seed)
     values = []
@@ -217,45 +268,56 @@ def _dual_spec_graded(compute, seed):
             except DegenerateSpecializationError:
                 continue
             specs.append(spec)
-            for k in range(graded.cap):
-                if graded.coeffs[k] != 0:
-                    raise SpecializationDisagreement(
-                        f"nonzero sub-degree coefficient at degree {k}"
-                    )
-            values.append(graded.coeffs[graded.cap])
+            for target, poly in graded.items():
+                for k in range(poly.cap):
+                    if poly.coeffs[k] != 0:
+                        raise SpecializationDisagreement(
+                            f"nonzero sub-degree coefficient at degree {k} of {target}"
+                        )
+            values.append({target: poly.coeffs[poly.cap] for target, poly in graded.items()})
             break
         else:
             raise DegenerateSpecializationError(
                 f"no fresh nondegenerate specialization in {MAX_REDRAWS + 1} draws"
             )
-    if values[0] != values[1]:
-        raise SpecializationDisagreement(
-            f"specialization disagreement: {values[0]} != {values[1]}"
-        )
+    for target, value in values[0].items():
+        if value != values[1][target]:
+            raise SpecializationDisagreement(
+                f"specialization disagreement at {target}: {value} != {values[1][target]}"
+            )
     return values[0], specs
 
 
 _NESTED_LOCUS = ((None, False),)
 
 
-def _localize(surface, route, nums, dens, n1, n2, seed, tops=_NESTED_LOCUS, jobs=1):
-    """The one localization pipeline: returns (value, specializations).
+def _localize(surface, route, nums, dens, grid, seed, tops=_NESTED_LOCUS, jobs=1):
+    """The one localization pipeline: returns ({(n1, n2): value}, specializations)
+    for every target of the grid.
 
     The integrand is prod c(twist by nums) / prod c(twist by dens).  The
     product route also multiplies by the top Chern classes in `tops`; its
     default cuts the product of Hilbert schemes down to the nested locus.
+    Only the product route sums in `jobs` worker processes.
     """
+    for bundle in (*nums, *dens, *(b for b, _ in tops if b is not None)):
+        check_bundle(surface, bundle)
     if route == "nested":
-        points = enumerate_global_fixed_points(surface, n1, n2)
-        route_sum = partial(_nested_sum, surface, nums, dens, n1, n2)
+        compute = partial(_nested_sums, surface, nums, dens, grid)
     elif route == "product":
-        points = enumerate_product_fixed_points(surface, n1, n2)
-        route_sum = partial(_product_sum, surface, tops, nums, dens, n1, n2)
+        points = {target: enumerate_product_fixed_points(surface, *target) for target in grid}
+
+        def compute(spec):
+            return {
+                target: _parallel_sum(
+                    partial(_product_sum, surface, tops, nums, dens, *target, spec),
+                    points[target], jobs,
+                )
+                for target in grid
+            }
     else:
         raise ValueError(f"unknown route {route!r}")
-    return _dual_spec_graded(
-        lambda spec: _parallel_sum(partial(route_sum, spec), points, jobs), seed
-    )
+    return _dual_spec_graded(compute, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +361,14 @@ def multi_bundle_invariant(surface, nums, dens, n1, n2, *, seed=0, route="nested
     number; `tops=((b1, False), (b2, swap))` with no nums is the pairing of
     two top Chern classes.  Only the product route reads `tops`.
     """
-    return _localize(surface, route, nums, dens, n1, n2, seed, tops)[0]
+    return _localize(surface, route, nums, dens, [(n1, n2)], seed, tops)[0][n1, n2]
 
 
 def invariant_record(surface, bundle, bundle_label, n1, n2, route="nested", seed=0, jobs=1):
-    """Compute one invariant and package it with its provenance; the route
-    sum runs in `jobs` worker processes."""
-    value, specs = _localize(surface, route, [bundle], [], n1, n2, seed, jobs=jobs)
-    return InvariantRecord(surface.name, bundle_label, n1, n2, route, value, specs)
+    """Compute one invariant and package it with its provenance; the product
+    route sum runs in `jobs` worker processes."""
+    values, specs = _localize(surface, route, [bundle], [], [(n1, n2)], seed, jobs=jobs)
+    return InvariantRecord(surface.name, bundle_label, n1, n2, route, values[n1, n2], specs)
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +381,9 @@ def series_grid(cap):
 
 
 def z_nest_series(surface, bundle, cap, seed=0, route="nested"):
-    """Generating series of the invariants over series_grid(cap)."""
-    terms = {
-        (n1, n2): multi_bundle_invariant(surface, [bundle], [], n1, n2, seed=seed, route=route)
-        for n1, n2 in series_grid(cap)
-    }
-    return Series2(cap, terms)
+    """Generating series of the invariants over series_grid(cap), from one
+    pair of specializations for the whole grid."""
+    return Series2(cap, _localize(surface, route, [bundle], [], series_grid(cap), seed)[0])
 
 
 def closed_form_series(surface, bundle, cap):

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .series import linear_power, product_formula
-from .toric import intersection_number
+from .toric import check_bundle, intersection_number
 
 
 class FockError(Exception):
@@ -50,6 +50,7 @@ class Lattice:
 
     def vector(self, bundle):
         """Coordinates of c1(O(sum a_i D_i)), with D_1, D_2 eliminated by chart 0's dual basis."""
+        check_bundle(self.surface, bundle)
         chart, a = self.surface.charts[0], bundle.coeffs
         dot = lambda m, r: m[0] * r[0] + m[1] * r[1]
         divisors = (

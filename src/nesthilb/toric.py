@@ -148,12 +148,20 @@ def builtin_surface(name):
     raise ToricError(f"unknown surface {name!r}")
 
 
+def check_bundle(surface, bundle):
+    """Raise ToricError unless the bundle lives on a surface with the rays of `surface`."""
+    if bundle.surface is not surface and bundle.surface.rays != surface.rays:
+        raise ToricError(f"{bundle!r} does not live on {surface!r}")
+
+
 def intersection_number(surface, l1, l2):
     """Intersection number c1(L1).c1(L2) from the fan.
 
     D_i^2 is the stored self-intersection, adjacent boundary divisors meet
     once, and all other pairs are disjoint.
     """
+    check_bundle(surface, l1)
+    check_bundle(surface, l2)
     a, b, n = l1.coeffs, l2.coeffs, len(surface.rays)
     return sum(
         a[i] * b[i] * surface.self_intersections[i]

@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from nesthilb import engine
 from nesthilb.characters import (
     DegenerateSpecializationError,
+    chern_poly,
+    euler_class,
     virtual_tangent_character_resolution,
 )
 from nesthilb.engine import SpecializationDisagreement
@@ -14,9 +17,22 @@ from nesthilb.laurent import LaurentPoly
 from nesthilb.partitions import NestedPair, enumerate_nested_pairs
 from nesthilb.series import GradedPoly, Series2
 from nesthilb.toric import builtin_surface, chern_numbers
+from test_toric import surfaces_with_bundles
 
 P2 = builtin_surface("p2")
 Q = builtin_surface("p1xp1")
+
+
+def _fixed_point_sum(surface, nums, dens, n1, n2, spec):
+    """The nested localization sum over the global fixed points, one at a
+    time: the reference for the chart-factorized kernel."""
+    cap = n1 + n2
+    total = GradedPoly(cap)
+    for outer, inner in engine.enumerate_global_fixed_points(surface, n1, n2):
+        e = euler_class(engine._tangent(surface, outer, inner), spec)
+        integrand = engine._integrand_character(surface, nums, dens, outer, inner)
+        total = total + chern_poly(integrand, spec, cap) * (1 / e)
+    return total
 
 
 def test_fixed_point_counts():
@@ -60,6 +76,41 @@ def test_engine_tangent_is_the_oracle_sum(name):
             assert engine._tangent(surface, outer, inner) == oracle, (outer, inner)
 
 
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
+def test_factored_kernel_matches_fixed_point_sum(name):
+    """Every graded coefficient, not only the top one, of the product of
+    the chart tables equals the sum over the global fixed points."""
+    surface = builtin_surface(name)
+    k = len(surface.charts)
+    nums = [surface.line_bundle([1] + [0] * (k - 1)), surface.canonical_bundle()]
+    dens = [surface.line_bundle([0, 2] + [0] * (k - 2))]
+    spec = (13, 29)  # a weight (a, b) with |a|, |b| < 13 never vanishes here
+    grid = engine.series_grid(5)
+    sums = engine._nested_sums(surface, nums, dens, grid, spec)
+    assert sorted(sums) == sorted(grid)
+    for n1, n2 in grid:
+        expected = _fixed_point_sum(surface, nums, dens, n1, n2, spec)
+        assert sums[n1, n2] == expected, (n1, n2)
+        # the one-point grid of multi_bundle_invariant and invariant_record
+        assert engine._nested_sums(surface, nums, dens, [(n1, n2)], spec) == {(n1, n2): expected}
+
+
+@pytest.mark.parametrize("name", ["p2", "hirzebruch(1)"])
+def test_local_keys_are_the_chart_components(name):
+    """The chart tables keep exactly the sizes (a, b) that some nested fixed
+    point of the grid has on one chart, so they evaluate the same weights."""
+    surface = builtin_surface(name)
+    grid = engine.series_grid(5)
+    for n1, n2 in grid:
+        components = {
+            (outer[c].size, inner[c].size)
+            for outer, inner in engine.enumerate_global_fixed_points(surface, n1, n2)
+            for c in range(len(surface.charts))
+        }
+        assert engine._local_keys([(n1, n2)]) == sorted(components), (n1, n2)
+    assert engine._local_keys(grid) == sorted(grid)
+
+
 def test_product_fixed_points_include_non_nested():
     nested = len(engine.enumerate_global_fixed_points(P2, 1, 1))
     product = sum(1 for _ in engine.enumerate_product_fixed_points(P2, 1, 1))
@@ -91,6 +142,54 @@ def test_seed_independence_of_values():
         engine.multi_bundle_invariant(P2, [bundle], [], 2, 1, seed=s) for s in (0, 1, 7)
     }
     assert len(vals) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(surfaces_with_bundles())
+def test_random_surfaces_route_agreement_and_closed_form(surface_bundle):
+    surface, bundle = surface_bundle
+    for n1, n2 in engine.series_grid(2):
+        nested, product = (
+            engine.multi_bundle_invariant(surface, [bundle], [], n1, n2, route=route)
+            for route in ("nested", "product")
+        )
+        assert nested == product, (n1, n2)
+    assert engine.z_nest_series(surface, bundle, 4) == engine.closed_form_series(surface, bundle, 4)
+
+
+def _count_calls(monkeypatch, name, calls, rewrite=lambda result, calls: result):
+    original = getattr(engine, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return rewrite(original(*args, **kwargs), calls)
+
+    monkeypatch.setattr(engine, name, counted)
+
+
+def test_series_is_one_pass_per_specialization(monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, "_dual_spec_graded", calls)
+    _count_calls(monkeypatch, "draw_specialization", calls)
+    bundle = P2.line_bundle([1, 0, 0])
+    engine.z_nest_series(P2, bundle, 6)
+    assert calls.count("_dual_spec_graded") == 1
+    assert calls.count("draw_specialization") == 2
+
+
+def test_degenerate_first_draw_redraws_the_whole_grid_once(monkeypatch):
+    # chart 0 of the plane has the tangent weight (0, 1), which (x, 0) kills
+    def degenerate_first(spec, calls):
+        return (spec[0], 0) if calls.count("draw_specialization") == 1 else spec
+
+    calls = []
+    _count_calls(monkeypatch, "_dual_spec_graded", calls)
+    _count_calls(monkeypatch, "draw_specialization", calls, degenerate_first)
+    bundle = P2.line_bundle([1, 0, 0])
+    series = engine.z_nest_series(P2, bundle, 6)
+    assert calls.count("_dual_spec_graded") == 1
+    assert calls.count("draw_specialization") == 3
+    assert series == engine.closed_form_series(P2, bundle, 6)
 
 
 def test_closed_form_series_spot_values():
@@ -177,10 +276,10 @@ def test_invariant_record_serialization():
 
 def test_disagreement_surfaces_as_error():
     with pytest.raises(SpecializationDisagreement):
-        engine._dual_spec_graded(lambda spec: GradedPoly(0, [spec[0]]), seed=0)
+        engine._dual_spec_graded(lambda spec: {(0, 0): GradedPoly(0, [spec[0]])}, seed=0)
 
 
 def test_repeated_draws_count_as_redraws(monkeypatch):
     monkeypatch.setattr(engine, "draw_specialization", lambda rng: (Fraction(3), Fraction(5)))
     with pytest.raises(DegenerateSpecializationError, match="no fresh nondegenerate"):
-        engine._dual_spec_graded(lambda spec: GradedPoly(0, [1]), seed=0)
+        engine._dual_spec_graded(lambda spec: {(0, 0): GradedPoly(0, [1])}, seed=0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nesthilb import engine
+from nesthilb.fock import Lattice
 from nesthilb.toric import (
     ToricError,
     ToricSurface,
@@ -124,6 +125,24 @@ def test_bundle_arithmetic_validation():
     p2 = builtin_surface("p2")
     with pytest.raises(ToricError):
         p2.line_bundle([1, 0])
+
+
+def test_bundle_from_another_surface_is_rejected():
+    p2, q = builtin_surface("p2"), builtin_surface("p1xp1")
+    stray = q.line_bundle([1, 0, 0, 1])
+    with pytest.raises(ToricError, match="does not live on"):
+        intersection_number(p2, stray, stray)
+    with pytest.raises(ToricError, match="does not live on"):
+        Lattice(p2).vector(stray)
+    with pytest.raises(ToricError, match="does not live on"):
+        engine.multi_bundle_invariant(p2, [stray], [], 1, 0)
+    # a bundle on another copy of the same fan is on the same surface
+    twin = builtin_surface("p2").line_bundle([1, 0, 0])
+    assert intersection_number(p2, twin, twin) == 1
+    own = p2.line_bundle([1, 0, 0])
+    assert engine.multi_bundle_invariant(p2, [twin], [], 2, 1) == (
+        engine.multi_bundle_invariant(p2, [own], [], 2, 1)
+    )
 
 
 def test_load_surface_config(tmp_path):
