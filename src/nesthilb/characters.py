@@ -19,6 +19,10 @@ TRIVIAL = (0, 0)
 # (1 - t1)(1 - t2) / (t1 t2), the ubiquitous correction factor.
 _CORR = LaurentPoly({(-1, -1): 1, (0, -1): -1, (-1, 0): -1, (0, 0): 1})
 
+# (1 - t1)(1 - t2), the denominator of the free-resolution oracle; kept apart
+# from _CORR so that the block formula and the oracle share no constant.
+_RESOLUTION_DENOM = LaurentPoly({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+
 
 class LocalizationError(Exception):
     """Base class for localization failures."""
@@ -75,8 +79,7 @@ def block_character_resolution(mu_a, mu_b):
     pb = staircase_numerator(mu_b)
     one = LaurentPoly.one()
     numerator = one - pa.bar() * pb
-    denom = LaurentPoly({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
-    return numerator.divide_exact(denom)
+    return numerator.divide_exact(_RESOLUTION_DENOM)
 
 
 def virtual_tangent_character_resolution(pair: NestedPair):
@@ -90,8 +93,7 @@ def virtual_tangent_character_resolution(pair: NestedPair):
     p2 = staircase_numerator(pair.inner)
     one = LaurentPoly.one()
     numerator = one - p1.bar() * p1 - p2.bar() * p2 + p1.bar() * p2
-    denom = LaurentPoly({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
-    return numerator.divide_exact(denom)
+    return numerator.divide_exact(_RESOLUTION_DENOM)
 
 
 def trivial_multiplicity(c):

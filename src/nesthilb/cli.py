@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -75,17 +74,19 @@ def _resolve_bundle(surface, named, label):
     return surface.line_bundle(coeffs)
 
 
-def _frac_dict(value):
+def _rational(value):
+    """The one encoding of an exact rational: decimal strings, never floats."""
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _emit_csv(header, rows, out):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write(args, payload, header, rows, out):
+    """Write the JSON payload, or the CSV header and rows, as --format asks."""
+    if args.format == "json":
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    out.write(buf.getvalue())
+    writer.writerows([str(c).lower() if isinstance(c, bool) else c for c in row] for row in rows)
 
 
 def cmd_integrate(args, out):
@@ -96,27 +97,28 @@ def cmd_integrate(args, out):
     routes = ["nested", "product"] if args.route == "both" else [args.route]
     records = [
         engine.invariant_record(
-            surface, bundle, args.bundle, args.n1, args.n2,
-            route=route, seed=args.seed, jobs=args.jobs,
+            surface, bundle, args.n1, args.n2, route=route, seed=args.seed, jobs=args.jobs
         )
         for route in routes
     ]
     agreement = len({r.value for r in records}) == 1
-    if args.format == "json":
-        payload = {
-            "records": [r.to_dict() for r in records],
-            "agreement": agreement,
-        }
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        header = ["surface", "bundle", "n1", "n2", "route", "num", "den", "agreement"]
-        rows = [
-            [r.surface, r.bundle, r.n1, r.n2, r.route,
-             str(r.value.numerator), str(r.value.denominator),
-             str(agreement).lower()]
+    labels = {"surface": surface.name, "bundle": args.bundle}
+    payload = {
+        # Disagreeing specializations raise, so a record always agrees.
+        "records": [
+            {**labels, "n1": r.n1, "n2": r.n2, "route": r.route, "value": _rational(r.value),
+             "specializations": [[str(x), str(y)] for x, y in r.specializations],
+             "agreement": True}
             for r in records
-        ]
-        _emit_csv(header, rows, out)
+        ],
+        "agreement": agreement,
+    }
+    header = ["surface", "bundle", "n1", "n2", "route", "num", "den", "agreement"]
+    rows = [
+        [*labels.values(), r.n1, r.n2, r.route, *_rational(r.value).values(), agreement]
+        for r in records
+    ]
+    _write(args, payload, header, rows, out)
     return EXIT_OK
 
 
@@ -130,35 +132,22 @@ def cmd_series(args, out):
     rows = []
     for n1, n2 in engine.series_grid(args.cap):
         value = direct.coeff(n1, n2)
-        row = {"n1": n1, "n2": n2, "value": _frac_dict(value)}
+        row = {"n1": n1, "n2": n2, "value": _rational(value)}
         if closed is not None:
             cf = closed.coeff(n1, n2)
-            row["closed_form"] = _frac_dict(cf)
+            row["closed_form"] = _rational(cf)
             row["match"] = value == cf
         rows.append(row)
-    if args.format == "json":
-        payload = {
-            "surface": surface.name,
-            "bundle": args.bundle,
-            "cap": args.cap,
-            "rows": rows,
-        }
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        header = ["n1", "n2", "num", "den"]
-        if closed is not None:
-            header += ["closed_num", "closed_den", "match"]
-        flat = []
-        for row in rows:
-            line = [row["n1"], row["n2"], row["value"]["num"], row["value"]["den"]]
-            if closed is not None:
-                line += [
-                    row["closed_form"]["num"],
-                    row["closed_form"]["den"],
-                    str(row["match"]).lower(),
-                ]
-            flat.append(line)
-        _emit_csv(header, flat, out)
+    payload = {"surface": surface.name, "bundle": args.bundle, "cap": args.cap, "rows": rows}
+    header = ["n1", "n2", "num", "den"]
+    if closed is not None:
+        header += ["closed_num", "closed_den", "match"]
+    # the CSV columns are a row's fields in order, each rational spread over num, den
+    flat = [
+        [c for v in row.values() for c in (v.values() if isinstance(v, dict) else [v])]
+        for row in rows
+    ]
+    _write(args, payload, header, flat, out)
     return EXIT_OK
 
 

@@ -14,8 +14,10 @@ Two independent routes compute the same invariants:
   not) on the product of two Hilbert schemes, cutting down to the nested
   locus with the top Chern class of the untwisted fiber class.
 
-All arithmetic is exact; every emitted value is computed at two generic
-numeric specializations of the torus weights, which must agree.
+The partition tuples come from `partitions.partition_tuples`.  All
+arithmetic is exact; every value is computed at two generic numeric
+specializations of the torus weights, which must agree.  The engine returns
+values with their specializations; the CLI labels and encodes them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .characters import (
     virtual_tangent_character,
 )
 from .laurent import LaurentPoly
-from .partitions import NestedPair, Partition, enumerate_nested_pairs, enumerate_partitions
+from .partitions import NestedPair, Partition, enumerate_nested_pairs, partition_tuples
 from .series import GradedPoly, Series2, product_formula
 from .toric import builtin_surface, check_bundle, chern_numbers
 
@@ -50,22 +52,11 @@ class SpecializationDisagreement(LocalizationError):
 # fixed-point enumeration
 
 
-def _partition_tuples(k, n):
-    """All k-tuples of partitions of total size n, indexed like the charts."""
-    if k == 0:
-        return [()] if n == 0 else []
-    tuples = []
-    for m in range(n + 1):
-        rest = _partition_tuples(k - 1, n - m)
-        tuples.extend((mu,) + tail for mu in enumerate_partitions(m) for tail in rest)
-    return tuples
-
-
 def enumerate_product_fixed_points(surface, n1, n2):
     """All pairs of partition tuples on the product of Hilbert schemes."""
     k = len(surface.charts)
-    tups2 = _partition_tuples(k, n2)
-    return [(tup1, tup2) for tup1 in _partition_tuples(k, n1) for tup2 in tups2]
+    tups2 = partition_tuples(k, n2)
+    return [(tup1, tup2) for tup1 in partition_tuples(k, n1) for tup2 in tups2]
 
 
 def enumerate_global_fixed_points(surface, n1, n2):
@@ -77,10 +68,10 @@ def enumerate_global_fixed_points(surface, n1, n2):
     if n1 < n2:
         raise ValueError("empty nesting range")
     k = len(surface.charts)
-    inners = _partition_tuples(k, n2)
+    inners = partition_tuples(k, n2)
     return [
         (outer, inner)
-        for outer in _partition_tuples(k, n1)
+        for outer in partition_tuples(k, n1)
         for inner in inners
         if all(map(Partition.contains, outer, inner))
     ]
@@ -326,26 +317,11 @@ def _localize(surface, route, nums, dens, grid, seed, tops=_NESTED_LOCUS, jobs=1
 
 @dataclass
 class InvariantRecord:
-    surface: str
-    bundle: str
     n1: int
     n2: int
     route: str
     value: Fraction
     specializations: list = field(default_factory=list)
-
-    def to_dict(self):
-        # Disagreeing specializations raise, so a record always agrees.
-        return {
-            "surface": self.surface,
-            "bundle": self.bundle,
-            "n1": self.n1,
-            "n2": self.n2,
-            "route": self.route,
-            "value": {"num": str(self.value.numerator), "den": str(self.value.denominator)},
-            "specializations": [[str(x), str(y)] for x, y in self.specializations],
-            "agreement": True,
-        }
 
 
 def multi_bundle_invariant(surface, nums, dens, n1, n2, *, seed=0, route="nested",
@@ -364,11 +340,11 @@ def multi_bundle_invariant(surface, nums, dens, n1, n2, *, seed=0, route="nested
     return _localize(surface, route, nums, dens, [(n1, n2)], seed, tops)[0][n1, n2]
 
 
-def invariant_record(surface, bundle, bundle_label, n1, n2, route="nested", seed=0, jobs=1):
-    """Compute one invariant and package it with its provenance; the product
-    route sum runs in `jobs` worker processes."""
+def invariant_record(surface, bundle, n1, n2, route="nested", seed=0, jobs=1):
+    """Compute one invariant with the two specializations that produced it;
+    the product route sum runs in `jobs` worker processes."""
     values, specs = _localize(surface, route, [bundle], [], [(n1, n2)], seed, jobs=jobs)
-    return InvariantRecord(surface.name, bundle_label, n1, n2, route, values[n1, n2], specs)
+    return InvariantRecord(n1, n2, route, values[n1, n2], specs)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +387,7 @@ def gottsche_product_coefficients(euler, nmax):
 
 def gottsche_fixed_point_counts(surface, nmax):
     """Number of partition tuples over the charts with total size n <= nmax."""
-    return [len(_partition_tuples(len(surface.charts), n)) for n in range(nmax + 1)]
+    return [len(partition_tuples(len(surface.charts), n)) for n in range(nmax + 1)]
 
 
 # ---------------------------------------------------------------------------

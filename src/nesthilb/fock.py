@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly
+from .partitions import partition_tuples
 from .series import linear_power, product_formula
 from .toric import check_bundle, intersection_number
 
@@ -145,23 +146,18 @@ class FockElement:
 
 @lru_cache(maxsize=None)
 def basis_states(rank, n):
-    """All states of grading n over a rank-r lattice, canonically sorted."""
+    """All states of grading n over a rank-r lattice, in sorted order.
+
+    The states are the rank-tuples of partitions of total size n: the parts
+    of the i-th partition are the modes of the creation factors on basis
+    vector i.
+    """
     if n < 0:
         raise FockError("grading must be nonnegative")
-    pairs = [(m, i) for m in range(1, n + 1) for i in range(rank)]
-
-    def rec(remaining, start):
-        if remaining == 0:
-            yield ()
-            return
-        for k in range(start, len(pairs)):
-            mode = pairs[k][0]
-            if mode > remaining:
-                continue
-            for rest in rec(remaining - mode, k):
-                yield (pairs[k],) + rest
-
-    return tuple(tuple(sorted(s)) for s in rec(n, 0))
+    return tuple(sorted(
+        tuple(sorted((m, i) for i, mu in enumerate(tup) for m in mu.parts))
+        for tup in partition_tuples(rank, n)
+    ))
 
 
 def apply_alpha(lattice, m, v, x, cap):

@@ -40,8 +40,6 @@ class LaurentPoly:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.constant(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             new = terms.get(exps, 0) + coeff
@@ -53,16 +51,12 @@ class LaurentPoly:
         out.terms = terms
         return out
 
-    __radd__ = __add__
-
     def __neg__(self):
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = {e: -c for e, c in self.terms.items()}
         return out
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.constant(other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -93,9 +87,6 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             return self == LaurentPoly.constant(other)
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)

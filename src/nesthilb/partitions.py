@@ -27,17 +27,11 @@ class Partition:
     def __len__(self):
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
         return hash(self.parts)
-
-    def __lt__(self, other):
-        return self.parts < other.parts
 
     def __repr__(self):
         return f"Partition{self.parts}"
@@ -84,16 +78,6 @@ class NestedPair:
         self.outer = outer
         self.inner = inner
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, NestedPair)
-            and self.outer == other.outer
-            and self.inner == other.inner
-        )
-
-    def __hash__(self):
-        return hash((self.outer, self.inner))
-
     def __repr__(self):
         return f"NestedPair({self.outer.parts}, {self.inner.parts})"
 
@@ -116,6 +100,19 @@ def enumerate_partitions(n):
                 yield (first,) + rest
 
     return tuple(Partition(p) for p in gen(n, n))
+
+
+def partition_tuples(k, n):
+    """All k-tuples of partitions of total size n: the torus-fixed points of
+    the Hilbert scheme of n points on k charts, and the Fock states of
+    grading n over a rank-k lattice."""
+    if k == 0:
+        return [()] if n == 0 else []
+    tuples = []
+    for m in range(n + 1):
+        rest = partition_tuples(k - 1, n - m)
+        tuples.extend((mu,) + tail for mu in enumerate_partitions(m) for tail in rest)
+    return tuples
 
 
 @lru_cache(maxsize=None)

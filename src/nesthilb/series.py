@@ -46,9 +46,6 @@ class Series2:
             return self.cap == other.cap and self.terms == other.terms
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.cap, frozenset(self.terms.items())))
-
     def __add__(self, other):
         cap = min(self.cap, other.cap)
         terms = {k: v for k, v in self.terms.items() if k[0] + k[1] <= cap}
@@ -218,10 +215,6 @@ class GradedPoly:
     def __add__(self, other):
         cap = min(self.cap, other.cap)
         return GradedPoly(cap, [self.coeffs[k] + other.coeffs[k] for k in range(cap + 1)])
-
-    def __sub__(self, other):
-        cap = min(self.cap, other.cap)
-        return GradedPoly(cap, [self.coeffs[k] - other.coeffs[k] for k in range(cap + 1)])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

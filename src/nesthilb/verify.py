@@ -166,10 +166,11 @@ def suite_fock(cap=3, seed=0):
     checks = []
     p2 = fock.Lattice(builtin_surface("p2"))
     quadric = fock.Lattice(builtin_surface("p1xp1"))
+    grading = min(cap + 1, 4)
     checks.append(
         Check(
-            "Heisenberg commutation relations up to grading 4",
-            fock.heisenberg_check(p2, min(cap + 1, 4)),
+            f"Heisenberg commutation relations up to grading {grading}",
+            fock.heisenberg_check(p2, grading),
         )
     )
     checks.append(
@@ -216,16 +217,22 @@ def suite_fock(cap=3, seed=0):
     return checks
 
 
+def _oracle_mismatches(sizes):
+    """The nested pairs of the sizes (n1, n2) whose tangent character differs
+    from the free-resolution oracle, each shown with both characters."""
+    bad = []
+    for n1, n2 in sizes:
+        for pair in enumerate_nested_pairs(n1, n2):
+            direct = virtual_tangent_character(pair)
+            resolved = virtual_tangent_character_resolution(pair)
+            if direct != resolved:
+                bad.append(f"{pair}: {direct} != {resolved}")
+    return bad
+
+
 def suite_oracle(cap=3, seed=0):
     checks = []
-    bad = []
-    for n1 in range(cap + 1):
-        for n2 in range(n1 + 1):
-            for pair in enumerate_nested_pairs(n1, n2):
-                direct = virtual_tangent_character(pair)
-                resolved = virtual_tangent_character_resolution(pair)
-                if direct != resolved:
-                    bad.append(f"{pair}: {direct} != {resolved}")
+    bad = _oracle_mismatches((n1, n2) for n1 in range(cap + 1) for n2 in range(n1 + 1))
     checks.append(
         Check(
             f"tangent characters match the free-resolution oracle, outer size <= {cap}",
@@ -233,12 +240,7 @@ def suite_oracle(cap=3, seed=0):
             "; ".join(bad[:3]),
         )
     )
-    spot_bad = [
-        repr(pair)
-        for n2 in (0, 2, 4)
-        for pair in enumerate_nested_pairs(4, n2)
-        if virtual_tangent_character(pair) != virtual_tangent_character_resolution(pair)
-    ]
+    spot_bad = _oracle_mismatches((4, n2) for n2 in (0, 2, 4))
     checks.append(
         Check(
             "tangent characters match the oracle at outer size 4, inner size 0, 2 or 4",

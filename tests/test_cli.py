@@ -34,6 +34,15 @@ def test_integrate_both_routes_agree():
     assert all(r["value"] == {"num": "9", "den": "1"} for r in payload["records"])
 
 
+def test_integrate_record_serialization():
+    code, text = run_cli(["integrate", "--surface", "p2", "--n1", "1", "--n2", "0"])
+    assert code == 0
+    (record,) = json.loads(text)["records"]
+    assert record["value"] == {"num": "9", "den": "1"}
+    assert record["route"] == "nested"
+    assert len(record["specializations"]) == 2
+
+
 def test_integrate_trivial_case():
     code, text = run_cli(
         ["integrate", "--surface", "p2", "--n1", "0", "--n2", "0"]
@@ -233,6 +242,13 @@ def test_universality_cap_zero_passes():
     code, text = run_cli(["verify", "universality", "--cap", "0"])
     assert code == 0
     assert "universality: pass" in text
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_fock_heisenberg_label_names_the_checked_grading(cap):
+    code, text = run_cli(["verify", "fock", "--cap", str(cap)])
+    assert code == 0
+    assert text.splitlines()[0] == f"PASS Heisenberg commutation relations up to grading {cap + 1}"
 
 
 def test_verify_suite_passes():

@@ -260,18 +260,10 @@ def test_universality_fit_reproduces_generators():
 @pytest.mark.parametrize("route", ["nested", "product"])
 def test_parallel_jobs_match_serial(route):
     records = [
-        engine.invariant_record(P2, P2.canonical_bundle(), "K", 2, 1, route=route, jobs=jobs)
+        engine.invariant_record(P2, P2.canonical_bundle(), 2, 1, route=route, jobs=jobs)
         for jobs in (1, 2)
     ]
     assert records[0] == records[1]
-
-
-def test_invariant_record_serialization():
-    rec = engine.invariant_record(P2, P2.structure_sheaf(), "O", 1, 0)
-    d = rec.to_dict()
-    assert d["value"] == {"num": "9", "den": "1"}
-    assert d["route"] == "nested"
-    assert len(d["specializations"]) == 2
 
 
 def test_disagreement_surfaces_as_error():

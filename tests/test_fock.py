@@ -35,6 +35,17 @@ def test_basis_state_counts_follow_euler_product():
     for lattice in (P2, QUAD):
         counts = [len(fock.basis_states(lattice.rank, n)) for n in range(5)]
         assert counts == engine.gottsche_product_coefficients(lattice.rank, 4)
+        for n in range(5):
+            states = fock.basis_states(lattice.rank, n)
+            assert len(set(states)) == len(states)
+            for state in states:
+                assert list(state) == sorted(state)
+                assert all(mode >= 1 and 0 <= i < lattice.rank for mode, i in state)
+                assert fock.grading(state) == n
+    # every multiset of creation factors of grading 2 over a rank-2 lattice
+    assert set(fock.basis_states(2, 2)) == {
+        ((1, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (1, 1)), ((2, 0),), ((2, 1),),
+    }
 
 
 def test_annihilation_kills_vacuum():
