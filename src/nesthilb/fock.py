@@ -1,25 +1,41 @@
 """Truncated Fock-space model of a lattice Heisenberg algebra.
 
-States are normal-ordered creation monomials applied to the vacuum,
-graded by the total mode; operators act exactly below a grading cap.
-The commutator is normalized as
-[alpha_m(g), alpha_{-m}(g')] = (-1)^(m-1) m <g, g'>,
-the unique sign for which the vertex-operator exchange relation
+The Fock space of a rank-r lattice is the ring of symmetric functions in
+r alphabets, whose integer arithmetic lives in `symmetric`.  A state, a
+sorted tuple of (mode > 0, basis index) pairs, is the monomial
+prod h_m^(i) of complete homogeneous symmetric functions: a Z-basis
+graded by the total mode, with the empty tuple as the vacuum (Macdonald,
+Symmetric functions and Hall polynomials, I.2).  Every operator has
+integer entries on this basis:
+
+- alpha_{-n}(v), n > 0, multiplies by p_n(v) = sum_i v_i p_n^(i), with
+  p_n written in the h's by Newton's identity (Macdonald I.2.11);
+- alpha_n(g), n > 0, is the derivation
+  h_k^(j) -> (-1)^(n-1) <g, e_j> h_{k-n}^(j);
+- Gamma_-(v, z) multiplies by prod_i H_i(z)^(v_i), where
+  H_i(z) = sum_m h_m^(i) z^m, which is exp(sum_n p_n(v) z^n / n);
+- Gamma_+(v, z) is the ring automorphism
+  H_j(t) -> H_j(t) (1 + t/z)^<v, e_j>, that is
+  h_m^(j) -> sum_r C(<v, e_j>, r) z^(-r) h_{m-r}^(j).
+
+Operators act exactly below a grading cap.  The commutator is normalized
+as [alpha_m(g), alpha_{-m}(g')] = (-1)^(m-1) m <g, g'>, the unique sign
+for which the vertex-operator exchange relation
 Gamma_+ Gamma_- = (1 + z1/z2)^<M1,M2> Gamma_- Gamma_+ holds.
 
 Formal variables are carried on the two exponent slots of a LaurentPoly
 coefficient per state; what the slots mean (z1/z2, or z/q) is chosen by
-each computation.
+each computation.  No coefficient is ever a fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .partitions import partition_tuples
 from .series import linear_power, product_formula
+from .symmetric import exp_series, grading, power_sum, product, shift_map, splits
 from .toric import check_bundle, intersection_number
 
 
@@ -79,15 +95,11 @@ class Lattice:
         return (0,) * self.rank
 
 
-def grading(state):
-    return sum(mode for mode, _ in state)
-
-
 class FockElement:
-    """Finite combination of creation monomials with LaurentPoly coefficients.
+    """Finite combination of basis states with LaurentPoly coefficients.
 
-    A state is a sorted tuple of (mode > 0, basis index) pairs; the empty
-    tuple is the vacuum.
+    A state is a sorted tuple of (mode > 0, basis index) pairs, the
+    monomial prod h_mode^(index); the empty tuple is the vacuum.
     """
 
     __slots__ = ("terms",)
@@ -160,12 +172,27 @@ def basis_states(rank, n):
     ))
 
 
+def _add(out, state, poly):
+    out[state] = out[state] + poly if state in out else poly
+
+
+def _lowering(lattice, v):
+    """Gamma_+(v) on basis states, with z^(-r) for a grading drop r left to the caller."""
+    return shift_map([lattice.pair_basis(v, j) for j in range(lattice.rank)])
+
+
+def _z_power(zarg, k):
+    """z^k as a LaurentPoly monomial, for z = s * w1^e1 w2^e2 with s = +-1."""
+    (e1, e2), s = zarg
+    return LaurentPoly.monomial(k * e1, k * e2, s ** (k % 2))
+
+
 def apply_alpha(lattice, m, v, x, cap):
     """One Heisenberg mode: creation for m < 0, annihilation for m > 0.
 
-    Annihilation contracts against each matching creation factor with the
-    normalized commutator and kills the vacuum; creation prepends a factor
-    and drops states graded above cap.
+    Creation multiplies by p_{-m}(v) and drops states graded above cap;
+    annihilation is the derivation h_k^(j) -> (-1)^(m-1) <v, e_j> h_{k-m}^(j),
+    which kills the vacuum.
     """
     if m == 0:
         raise FockError("mode must be nonzero")
@@ -176,23 +203,22 @@ def apply_alpha(lattice, m, v, x, cap):
             if grading(state) + n > cap:
                 continue
             for i, c in enumerate(v):
-                if not c:
-                    continue
-                ns = tuple(sorted(state + ((n, i),)))
-                scaled = poly * c
-                out[ns] = out[ns] + scaled if ns in out else scaled
+                if c:
+                    for p, k in power_sum(n, i).items():
+                        _add(out, product(state, p), poly * (c * k))
     else:
-        norm = (-1) ** (m - 1) * m
+        sign = (-1) ** (m - 1)
         for state, poly in x.terms.items():
             for j, (mode, idx) in enumerate(state):
-                if mode != m:
+                if mode < m:
                     continue
                 p = lattice.pair_basis(v, idx)
                 if not p:
                     continue
-                ns = state[:j] + state[j + 1 :]
-                scaled = poly * (norm * p)
-                out[ns] = out[ns] + scaled if ns in out else scaled
+                rest = state[:j] + state[j + 1 :]
+                if mode > m:
+                    rest = product(rest, ((mode - m, idx),))
+                _add(out, rest, poly * (sign * p))
     return FockElement(out)
 
 
@@ -201,28 +227,28 @@ def gamma_operator(lattice, sign, v, zarg, x, cap):
 
     zarg = ((e1, e2), s) describes the formal argument z = s * w1^e1 w2^e2
     with s = +-1; powers of z become exponent shifts on the coefficients.
+    Gamma_- (sign -1) multiplies by prod_i H_i(z)^(v_i) below the cap;
+    Gamma_+ (sign +1) is the automorphism, exact on every state.
     """
     if sign not in (1, -1):
         raise FockError("sign must be +1 or -1")
-    (e1, e2), s = zarg
-    if s not in (1, -1):
+    if zarg[1] not in (1, -1):
         raise FockError("z-argument scalar must be +-1")
-    result = x
-    term = x
-    k = 0
-    while not term.is_zero():
-        k += 1
-        nxt = FockElement.zero()
-        for n in range(1, cap + 1):
-            y = apply_alpha(lattice, sign * n, v, term, cap)
-            if y.is_zero():
-                continue
-            e = -sign * n
-            mono = LaurentPoly.monomial(e * e1, e * e2, Fraction(s**n, n))
-            nxt = nxt + y.scale(mono)
-        term = nxt.scale(Fraction(1, k))
-        result = result + term
-    return result
+    out = {}
+    if sign < 0:
+        series = exp_series(v, cap)
+        powers = [_z_power(zarg, d) for d in range(len(series))]
+        for state, poly in x.terms.items():
+            for d, part in enumerate(series[: max(cap - grading(state), 0) + 1]):
+                for g, c in part.items():
+                    _add(out, product(state, g), poly * (powers[d] * c))
+    else:
+        image = _lowering(lattice, v)
+        for state, poly in x.terms.items():
+            n = grading(state)
+            for low, c in image(state).items():
+                _add(out, low, poly * (_z_power(zarg, grading(low) - n) * c))
+    return FockElement(out)
 
 
 def number_operator(x):
@@ -279,32 +305,40 @@ def w_trace(lattice, m1, m2, cap):
     """Graded trace of q^N composed with both twisted correspondence operators.
 
     Applies W(M2)(1/z1) W(M1)(z1) with W(M) = Gamma_-(-M,-z) Gamma_+(-M^D,z)
-    to every basis state of grading n1 <= cap, reads off the diagonal
-    coefficient, and converts q^n1 z1^(2(n2-n1)) to the (q1, q2) grid.
-    Returns {(n1, n2): coefficient} over the box n1, n2 <= cap, which is the
-    exact window under the grading cap.
+    to every basis state of grading n1 <= cap and reads off the diagonal.
+    Each operator moves z1's exponent with the grading, so a term that
+    passes through a state of grading n2 after W(M1) carries
+    q^n1 z1^(2(n2-n1)): it lands in the (n1, n2) cell, and the arithmetic
+    is on integers alone.  Only the diagonal of the last Gamma_- is
+    formed: on a state it is the sum of G[state - s] y[s] over the
+    sub-multisets s of the state.  Returns {(n1, n2): int} over the box
+    n1, n2 <= cap, which is the exact window under the grading cap.
     """
-    m1d = lattice.dual(m1)
-    m2d = lattice.dual(m2)
     neg = lambda v: tuple(-c for c in v)
+    lower1 = _lowering(lattice, neg(lattice.dual(m1)))
+    lower2 = _lowering(lattice, neg(lattice.dual(m2)))
+    # Gamma_-(-M, -z): the degree-d part of prod H^(-M) picks up (-1)^d
+    signed = lambda v: [
+        {g: (-1) ** d * c for g, c in part.items()} for d, part in enumerate(exp_series(neg(v), cap))
+    ]
+    raise1 = signed(m1)
+    raise2 = {g: c for part in signed(m2) for g, c in part.items()}
     box = {}
     for n in range(cap + 1):
         for state in basis_states(lattice.rank, n):
-            x = FockElement.basis(state)
-            y = gamma_operator(lattice, 1, neg(m1d), ((1, 0), 1), x, cap)
-            y = gamma_operator(lattice, -1, neg(m1), ((1, 0), -1), y, cap)
-            y = gamma_operator(lattice, 1, neg(m2d), ((-1, 0), 1), y, cap)
-            y = gamma_operator(lattice, -1, neg(m2), ((-1, 0), -1), y, cap)
-            diag = y.terms.get(state)
-            if diag is None:
-                continue
-            for (e, _), c in diag.terms.items():
-                if e % 2:
-                    raise FockError("odd z-exponent on the trace diagonal")
-                n2 = n + e // 2
-                if 0 <= n2 <= cap:
-                    key = (n, n2)
-                    box[key] = box.get(key, 0) + c
+            diag = [(s, raise2[rest]) for s, rest in splits(state) if rest in raise2]
+            mid = {}
+            for a, ca in lower1(state).items():
+                for part in raise1[: cap - grading(a) + 1]:
+                    for g, cg in part.items():
+                        key = product(a, g)
+                        mid[key] = mid.get(key, 0) + ca * cg
+            for b, cb in mid.items():
+                image = lower2(b)
+                t = sum(image.get(s, 0) * c for s, c in diag)
+                if cb and t:
+                    key = (n, grading(b))
+                    box[key] = box.get(key, 0) + cb * t
     return {k: v for k, v in box.items() if v}
 
 

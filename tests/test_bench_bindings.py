@@ -19,7 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
     ["integrate", "--surface", "p2", "--n1", "1", "--n2", "0"],
     ["series", "--surface", "p2", "--cap", "1"],
     ["verify", "oracle", "--cap", "1"],
-], ids=["integrate", "series", "verify"])
+    ["verify", "fock", "--cap", "1"],
+], ids=["integrate", "series", "verify", "fock"])
 def test_traced_probe_runs(tmp_path, argv):
     report_path = tmp_path / "report.json"
     with open(report_path, "w") as report:

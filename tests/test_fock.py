@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from test_toric import surfaces_with_bundles
 
-from nesthilb import engine, fock
+from nesthilb import engine, fock, symmetric
 from nesthilb.fock import FockElement, Lattice, apply_alpha, gamma_operator
 from nesthilb.laurent import LaurentPoly
 from nesthilb.toric import builtin_surface, intersection_number
@@ -63,8 +63,11 @@ def test_single_contraction_normalization():
 def test_creation_raises_grading():
     x = FockElement.vacuum()
     y = apply_alpha(P2, -3, (0, 0, 1), x, 4)
-    (state,) = y.terms
-    assert fock.grading(state) == 3
+    assert all(fock.grading(state) == 3 for state in y.terms)
+    # Newton's identity: p_3 = 3 h_3 - 3 h_1 h_2 + h_1^3
+    assert {state: poly.coeff(0, 0) for state, poly in y.terms.items()} == {
+        ((3, 2),): 3, ((1, 2), (2, 2)): -3, ((1, 2), (1, 2), (1, 2)): 1,
+    }
 
 
 def test_mode_zero_rejected():
@@ -74,6 +77,28 @@ def test_mode_zero_rejected():
 
 def test_heisenberg_relations_to_grading_four():
     assert fock.heisenberg_check(P2, 4)
+
+
+def test_relation_checks_catch_a_flipped_sign(monkeypatch):
+    """Each relation check fails once one sign of the model is flipped."""
+    with monkeypatch.context() as m:
+        # the derivation's coefficient (-1)^(n-1) <g, e_j> changes sign
+        pair_basis = Lattice.pair_basis
+        m.setattr(Lattice, "pair_basis", lambda lattice, u, j: -pair_basis(lattice, u, j))
+        assert not fock.heisenberg_check(P2, 2)
+    with monkeypatch.context() as m:
+        # the Gamma_+ generator image takes (1 - t/z) for (1 + t/z)
+        binomials = symmetric.binomials
+        m.setattr(symmetric, "binomials", lambda c, n: [(-1) ** r * b for r, b in enumerate(binomials(c, n))])
+        assert not fock.gamma_commutation_check(P2, (0, 1, 0), (1, 2, 0), 2)
+    with monkeypatch.context() as m:
+        # Gamma_- attaches z^(-d) instead of z^d to a grading raise d
+        z_power = fock._z_power
+        m.setattr(fock, "_z_power", lambda zarg, k: z_power(zarg, -k))
+        assert not fock.qn_conjugation_check(P2, (0, 1, 0), 2)
+    assert fock.heisenberg_check(P2, 2)
+    assert fock.gamma_commutation_check(P2, (0, 1, 0), (1, 2, 0), 2)
+    assert fock.qn_conjugation_check(P2, (0, 1, 0), 2)
 
 
 def test_gamma_on_vacuum():
@@ -117,6 +142,71 @@ def test_trace_matches_closed_product():
     ]
     for lattice, m1, m2 in cases:
         assert fock.trace_matches_product(lattice, m1, m2, 3), (m1, m2)
+
+
+def _p_alpha(lattice, m, v, x, cap):
+    """alpha_m in the power-sum basis, where a state is prod p_mode^(index)."""
+    out = FockElement.zero()
+    for state, poly in x.terms.items():
+        if m < 0 and fock.grading(state) - m <= cap:
+            for i, c in enumerate(v):
+                out = out + FockElement({tuple(sorted(state + ((-m, i),))): poly * c})
+        for j, (mode, idx) in enumerate(state if m > 0 else ()):
+            if mode == m:
+                coeff = (-1) ** (m - 1) * m * lattice.pair_basis(v, idx)
+                out = out + FockElement({state[:j] + state[j + 1 :]: poly * coeff})
+    return out
+
+
+def _p_gamma(lattice, sign, v, z, x, cap):
+    """exp(sum_n z^(-sign*n)/n alpha_{sign*n}(v)) by its series; z = (e, s) is s * w^e."""
+    e, s = z
+    result = term = x
+    k = 0
+    while not term.is_zero():
+        k += 1
+        nxt = FockElement.zero()
+        for n in range(1, cap + 1):
+            mono = LaurentPoly.monomial(-sign * n * e, 0, Fraction(s**n, n * k))
+            nxt = nxt + _p_alpha(lattice, sign * n, v, term, cap).scale(mono)
+        term = nxt
+        result = result + term
+    return result
+
+
+def _p_basis_trace(lattice, m1, m2, cap):
+    """Reference w_trace: the four half-vertex operators expanded in the power-sum basis."""
+    neg = lambda v: tuple(-c for c in v)
+    operators = (
+        (1, neg(lattice.dual(m1)), (1, 1)),
+        (-1, neg(m1), (1, -1)),
+        (1, neg(lattice.dual(m2)), (-1, 1)),
+        (-1, neg(m2), (-1, -1)),
+    )
+    box = {}
+    for n in range(cap + 1):
+        for state in fock.basis_states(lattice.rank, n):
+            y = FockElement.basis(state)
+            for sign, v, z in operators:
+                y = _p_gamma(lattice, sign, v, z, y, cap)
+            for (e, _), c in y.terms.get(state, LaurentPoly.zero()).terms.items():
+                key = (n, n + e // 2)
+                if key[1] <= cap:
+                    box[key] = box.get(key, 0) + c
+    return {k: v for k, v in box.items() if v}
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+@pytest.mark.parametrize("name, m1, m2", [
+    ("p2", (-1, 2, 0), (0, -1, 1)),
+    ("p1xp1", (0, -1, 2, 0), (1, 0, -1, 0)),
+    ("hirzebruch(1)", (0, 1, -2, 0), (-1, 0, 2, 1)),
+], ids=["p2", "p1xp1", "hirzebruch(1)"])
+def test_trace_equals_power_sum_reference(name, m1, m2, cap):
+    lattice = Lattice(builtin_surface(name))
+    box = fock.w_trace(lattice, m1, m2, cap)
+    assert all(type(c) is int for c in box.values())
+    assert box == _p_basis_trace(lattice, m1, m2, cap)
 
 
 def _swapped_pairing(surface, b1, b2, n1, n2):
@@ -166,8 +256,11 @@ def test_random_surface_lattice_and_trace(surface_bundle):
             surface, l1, l2
         )
     m1, m2 = lattice.vector(bundle), lattice.canonical
-    box = fock.w_trace(lattice, m1, m2, 2)
-    series = fock.trace_product_series(lattice, m1, m2, 2)
+    box = fock.w_trace(lattice, m1, m2, 3)
+    series = fock.trace_product_series(lattice, m1, m2, 3)
+    for n1 in range(4):
+        for n2 in range(4):
+            assert box.get((n1, n2), 0) == series.coeff(n1, n2), (n1, n2)
     for n1 in range(3):
         for n2 in range(3 - n1):
             geo = _swapped_pairing(surface, bundle, k, n1, n2)
