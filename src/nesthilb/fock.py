@@ -25,7 +25,9 @@ Gamma_+ Gamma_- = (1 + z1/z2)^<M1,M2> Gamma_- Gamma_+ holds.
 
 Formal variables are carried on the two exponent slots of a LaurentPoly
 coefficient per state; what the slots mean (z1/z2, or z/q) is chosen by
-each computation.  No coefficient is ever a fraction.
+each computation.  No coefficient is ever a fraction.  A relation check
+builds each operator once, as a map on {state: coeff}, and applies it to
+every basis state; the Heisenberg check runs on int coefficients.
 """
 
 from __future__ import annotations
@@ -105,12 +107,7 @@ class FockElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        pruned = {}
-        if terms:
-            for state, poly in terms.items():
-                if poly.terms:
-                    pruned[state] = poly
-        self.terms = pruned
+        self.terms = {state: poly for state, poly in (terms or {}).items() if poly}
 
     @classmethod
     def vacuum(cls):
@@ -130,10 +127,7 @@ class FockElement:
     def __add__(self, other):
         terms = dict(self.terms)
         for state, poly in other.terms.items():
-            if state in terms:
-                terms[state] = terms[state] + poly
-            else:
-                terms[state] = poly
+            _add(terms, state, poly)
         return FockElement(terms)
 
     def scale(self, factor):
@@ -145,12 +139,8 @@ class FockElement:
 
     def filtered(self, keep):
         """Keep only coefficient monomials for which keep((e1, e2)) is true."""
-        out = {}
-        for state, poly in self.terms.items():
-            kept = {e: c for e, c in poly.terms.items() if keep(e)}
-            if kept:
-                out[state] = LaurentPoly(kept)
-        return FockElement(out)
+        return FockElement({s: LaurentPoly({e: c for e, c in p.terms.items() if keep(e)})
+                            for s, p in self.terms.items()})
 
     def __repr__(self):
         return f"FockElement({self.terms!r})"
@@ -172,8 +162,8 @@ def basis_states(rank, n):
     ))
 
 
-def _add(out, state, poly):
-    out[state] = out[state] + poly if state in out else poly
+def _add(out, state, coeff):
+    out[state] = out[state] + coeff if state in out else coeff
 
 
 def _lowering(lattice, v):
@@ -187,68 +177,69 @@ def _z_power(zarg, k):
     return LaurentPoly.monomial(k * e1, k * e2, s ** (k % 2))
 
 
-def apply_alpha(lattice, m, v, x, cap):
-    """One Heisenberg mode: creation for m < 0, annihilation for m > 0.
-
-    Creation multiplies by p_{-m}(v) and drops states graded above cap;
-    annihilation is the derivation h_k^(j) -> (-1)^(m-1) <v, e_j> h_{k-m}^(j),
-    which kills the vacuum.
-    """
+def _alpha(lattice, m, v, cap):
+    """alpha_m(v) as a map {state: coeff} -> {state: coeff}, coefficients int or
+    LaurentPoly; creation drops states graded above cap, and zeros may remain."""
     if m == 0:
         raise FockError("mode must be nonzero")
-    out = {}
     if m < 0:
-        n = -m
-        for state, poly in x.terms.items():
-            if grading(state) + n > cap:
-                continue
-            for i, c in enumerate(v):
-                if c:
-                    for p, k in power_sum(n, i).items():
-                        _add(out, product(state, p), poly * (c * k))
+        terms = [(p, c * k) for i, c in enumerate(v) if c for p, k in power_sum(-m, i).items()]
     else:
-        sign = (-1) ** (m - 1)
-        for state, poly in x.terms.items():
-            for j, (mode, idx) in enumerate(state):
-                if mode < m:
-                    continue
-                p = lattice.pair_basis(v, idx)
-                if not p:
-                    continue
-                rest = state[:j] + state[j + 1 :]
-                if mode > m:
-                    rest = product(rest, ((mode - m, idx),))
-                _add(out, rest, poly * (sign * p))
-    return FockElement(out)
+        pairs = [(-1) ** (m - 1) * lattice.pair_basis(v, j) for j in range(lattice.rank)]
+
+    def op(x):
+        out = {}
+        for state, coeff in x.items():
+            if m < 0 and grading(state) - m <= cap:
+                for p, k in terms:
+                    _add(out, product(state, p), coeff * k)
+            for j, (mode, idx) in enumerate(state if m > 0 else ()):
+                if mode >= m and pairs[idx]:
+                    lowered = ((mode - m, idx),) if mode > m else ()
+                    _add(out, product(state[:j] + state[j + 1 :], lowered), coeff * pairs[idx])
+        return out
+
+    return op
 
 
-def gamma_operator(lattice, sign, v, zarg, x, cap):
-    """The half-vertex operator exp(sum_{n>0} z^(-sign*n)/n alpha_{sign*n}(v)).
-
-    zarg = ((e1, e2), s) describes the formal argument z = s * w1^e1 w2^e2
-    with s = +-1; powers of z become exponent shifts on the coefficients.
-    Gamma_- (sign -1) multiplies by prod_i H_i(z)^(v_i) below the cap;
-    Gamma_+ (sign +1) is the automorphism, exact on every state.
-    """
+def _gamma(lattice, sign, v, zarg, cap):
+    """exp(sum_{n>0} z^(-sign*n)/n alpha_{sign*n}(v)) as a map on {state: LaurentPoly},
+    for z = s * w1^e1 w2^e2 given as zarg = ((e1, e2), s) with s = +-1.
+    Gamma_- (sign -1) acts below the cap; Gamma_+ is exact on every state."""
     if sign not in (1, -1):
         raise FockError("sign must be +1 or -1")
     if zarg[1] not in (1, -1):
         raise FockError("z-argument scalar must be +-1")
-    out = {}
     if sign < 0:
-        series = exp_series(v, cap)
-        powers = [_z_power(zarg, d) for d in range(len(series))]
-        for state, poly in x.terms.items():
-            for d, part in enumerate(series[: max(cap - grading(state), 0) + 1]):
-                for g, c in part.items():
-                    _add(out, product(state, g), poly * (powers[d] * c))
+        series = [[(g, _z_power(zarg, d) * c) for g, c in part.items()]
+                  for d, part in enumerate(exp_series(v, cap))]
     else:
         image = _lowering(lattice, v)
-        for state, poly in x.terms.items():
+
+    def op(x):
+        out = {}
+        for state, coeff in x.items():
             n = grading(state)
-            for low, c in image(state).items():
-                _add(out, low, poly * (_z_power(zarg, grading(low) - n) * c))
-    return FockElement(out)
+            if sign < 0:
+                for part in series[: max(cap - n, 0) + 1]:
+                    for g, c in part:
+                        _add(out, product(state, g), coeff * c)
+            else:
+                for low, c in image(state).items():
+                    _add(out, low, coeff * (_z_power(zarg, grading(low) - n) * c))
+        return out
+
+    return op
+
+
+def apply_alpha(lattice, m, v, x, cap):
+    """One Heisenberg mode alpha_m(v) on a FockElement; see _alpha."""
+    return FockElement(_alpha(lattice, m, v, cap)(x.terms))
+
+
+def gamma_operator(lattice, sign, v, zarg, x, cap):
+    """A half-vertex operator on a FockElement; see _gamma."""
+    return FockElement(_gamma(lattice, sign, v, zarg, cap)(x.terms))
 
 
 def number_operator(x):
@@ -266,17 +257,16 @@ def gamma_commutation_check(lattice, m1, m2, cap):
     if cap < 1:
         raise FockError("cap must be at least 1")
     p = lattice.pair(m1, m2)
-    z1 = ((1, 0), 1)
-    z2 = ((0, 1), 1)
+    plus = _gamma(lattice, 1, m2, ((0, 1), 1), cap)
+    minus = _gamma(lattice, -1, m1, ((1, 0), 1), cap)
     for n in range(cap + 1):
         window = cap - n
         binomial = linear_power(1, p, window).coeffs
         scalar = LaurentPoly({(k, -k): c for k, c in enumerate(binomial)})
         for state in basis_states(lattice.rank, n):
-            x = FockElement.basis(state)
-            lhs = gamma_operator(lattice, 1, m2, z2, gamma_operator(lattice, -1, m1, z1, x, cap), cap)
-            rhs = gamma_operator(lattice, -1, m1, z1, gamma_operator(lattice, 1, m2, z2, x, cap), cap)
-            rhs = rhs.scale(scalar)
+            x = {state: LaurentPoly.one()}
+            lhs = FockElement(plus(minus(x)))
+            rhs = FockElement(minus(plus(x))).scale(scalar)
             keep = lambda e: e[0] <= window
             if lhs.filtered(keep) != rhs.filtered(keep):
                 return False
@@ -289,13 +279,13 @@ def qn_conjugation_check(lattice, v, cap):
     Slot 0 carries z, slot 1 carries q; both sides truncate identically,
     so the comparison is an exact equality.
     """
-    z = ((1, 0), 1)
-    qz = ((1, 1), 1)
+    at_z = _gamma(lattice, -1, v, ((1, 0), 1), cap)
+    at_qz = _gamma(lattice, -1, v, ((1, 1), 1), cap)
     for n in range(cap + 1):
         for state in basis_states(lattice.rank, n):
             x = FockElement.basis(state)
-            lhs = number_operator(gamma_operator(lattice, -1, v, z, x, cap))
-            rhs = gamma_operator(lattice, -1, v, qz, number_operator(x), cap)
+            lhs = number_operator(FockElement(at_z(x.terms)))
+            rhs = FockElement(at_qz(number_operator(x).terms))
             if lhs != rhs:
                 return False
     return True
@@ -375,24 +365,23 @@ def heisenberg_check(lattice, cap):
     zero otherwise; checked on basis vectors g, g' of the lattice.
     """
     big = 2 * cap  # room so creation before annihilation is not clipped
-    basis_vecs = [
-        tuple(1 if i == j else 0 for j in range(lattice.rank))
-        for i in range(lattice.rank)
-    ]
-    for g_state_n in range(cap + 1):
-        for state in basis_states(lattice.rank, g_state_n):
-            x = FockElement.basis(state)
+    rank = range(lattice.rank)
+    alpha = {(m, i): _alpha(lattice, m, tuple(int(i == j) for j in rank), big)
+             for m in range(-cap, cap + 1) if m for i in rank}
+    for grade in range(cap + 1):
+        for state in basis_states(lattice.rank, grade):
+            x = {state: 1}
             for m in range(1, cap + 1):
+                down = [alpha[m, i](x) for i in rank]
                 for n in (-m, m - cap - 1):
-                    for gi, g in enumerate(basis_vecs):
-                        for gj, gp in enumerate(basis_vecs):
-                            ab = apply_alpha(lattice, m, g, apply_alpha(lattice, n, gp, x, big), big)
-                            ba = apply_alpha(lattice, n, gp, apply_alpha(lattice, m, g, x, big), big)
-                            comm = ab + ba.scale(-1)
-                            if n == -m:
-                                want = x.scale((-1) ** (m - 1) * m * lattice.pairing[gi][gj])
-                            else:
-                                want = FockElement.zero()
-                            if comm != want:
+                    up = [alpha[n, i](x) for i in rank]
+                    for gi in rank:
+                        for gj in rank:
+                            comm = alpha[m, gi](up[gj])
+                            for s, c in alpha[n, gj](down[gi]).items():
+                                _add(comm, s, -c)
+                            want = (-1) ** (m - 1) * m * lattice.pairing[gi][gj] if n == -m else 0
+                            _add(comm, state, -want)
+                            if any(comm.values()):
                                 return False
     return True

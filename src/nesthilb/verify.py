@@ -193,16 +193,21 @@ def suite_fock(cap=3, seed=0):
         (quadric, "quadric", quadric.zero(), (0, 1, 2, 0)),
         (quadric, "quadric", (0, 1, 0, 0), (0, 0, 1, 0)),
     ]
+    boxes = []
     for lattice, name, m1, m2 in pairs:
-        ok = fock.trace_matches_product(lattice, m1, m2, cap)
+        box = fock.w_trace(lattice, m1, m2, cap)
+        boxes.append(box)
+        series = fock.trace_product_series(lattice, m1, m2, cap)
+        cells = [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1)]
+        ok = all(box.get(cell, 0) == series.coeff(*cell) for cell in cells)
         checks.append(
             Check(
                 f"graded trace equals closed product on {name} lattice, M1={m1} M2={m2}",
                 ok,
-                "" if ok else f"box={fock.w_trace(lattice, m1, m2, cap)}",
+                "" if ok else f"box={box}",
             )
         )
-    zero_box = fock.w_trace(p2, p2.zero(), p2.zero(), cap)
+    zero_box = boxes[0]  # the first pair is untwisted, on the plane
     gottsche = engine.gottsche_product_coefficients(p2.rank, cap)
     diag_ok = all(
         zero_box.get((n, n), 0) == gottsche[n] for n in range(cap + 1)

@@ -251,6 +251,14 @@ def test_fock_heisenberg_label_names_the_checked_grading(cap):
     assert text.splitlines()[0] == f"PASS Heisenberg commutation relations up to grading {cap + 1}"
 
 
+def test_fock_passes_at_cap_five():
+    code, text = run_cli(["verify", "fock", "--cap", "5"])
+    lines = text.splitlines()
+    assert code == 0
+    assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert lines[-1] == "fock: pass"
+
+
 def test_verify_suite_passes():
     code, text = run_cli(["verify", "oracle", "--cap", "2"])
     assert code == 0

@@ -1,5 +1,6 @@
 """Heisenberg algebra on the truncated Fock space and trace identities."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,59 @@ def test_mode_zero_rejected():
 
 def test_heisenberg_relations_to_grading_four():
     assert fock.heisenberg_check(P2, 4)
+
+
+@pytest.mark.parametrize("name", ["p1xp1", "hirzebruch(1)"])
+def test_heisenberg_relations_on_more_lattices(name):
+    assert fock.heisenberg_check(Lattice(builtin_surface(name)), 3)
+
+
+@pytest.mark.parametrize("lattice", [P2, QUAD], ids=["p2", "p1xp1"])
+def test_shared_operators_equal_one_shot(lattice):
+    """A map built once and applied to every state equals a fresh operator per state."""
+    states = [s for n in range(4) for s in fock.basis_states(lattice.rank, n)]
+    v = tuple(range(-1, lattice.rank - 1))  # negative, zero and positive entries
+    z = ((1, -1), -1)
+    for m in (-3, -1, 1, 2):
+        shared = fock._alpha(lattice, m, v, 3)
+        for state in states + states[::-1]:
+            x = FockElement.basis(state)
+            fresh = apply_alpha(lattice, m, v, x, 3)
+            assert FockElement(shared(x.terms)) == fresh
+            # the same map on int coefficients gives the constant terms
+            ints = {s: c for s, c in shared({state: 1}).items() if c}
+            assert ints == {s: poly.coeff(0, 0) for s, poly in fresh.terms.items()}
+    for sign in (-1, 1):
+        shared = fock._gamma(lattice, sign, v, z, 3)
+        for state in states + states[::-1]:
+            x = FockElement.basis(state)
+            assert FockElement(shared(x.terms)) == gamma_operator(lattice, sign, v, z, x, 3)
+    vac = FockElement.vacuum()
+    for bad in (
+        lambda: fock._alpha(lattice, 0, v, 3),
+        lambda: apply_alpha(lattice, 0, v, vac, 3),
+        lambda: fock._gamma(lattice, 0, v, z, 3),
+        lambda: gamma_operator(lattice, 2, v, z, vac, 3),
+        lambda: fock._gamma(lattice, -1, v, ((1, 0), 2), 3),
+        lambda: gamma_operator(lattice, 1, v, ((1, 0), 0), vac, 3),
+    ):
+        with pytest.raises(fock.FockError):
+            bad()
+
+
+@pytest.mark.parametrize("check", [
+    lambda: fock.heisenberg_check(P2, 4),
+    lambda: fock.gamma_commutation_check(P2, (0, 1, 0), (1, 2, 0), 4),
+], ids=["heisenberg", "gamma_exchange"])
+def test_relation_checks_stay_small_in_memory(check):
+    """No per-state cache of operator rows: each check's traced heap peaks under 1 MB."""
+    tracemalloc.start()
+    try:
+        assert check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_relation_checks_catch_a_flipped_sign(monkeypatch):
