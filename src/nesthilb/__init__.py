@@ -30,7 +30,6 @@ from .engine import (
     z_nest_series,
 )
 from .fock import (
-    FockElement,
     Lattice,
     apply_alpha,
     gamma_commutation_check,

@@ -22,6 +22,7 @@ values with their specializations; the CLI labels and encodes them.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -218,14 +219,16 @@ def _pool(jobs):
 
 def _parallel_sum(route_sum, points, jobs):
     """Apply a route sum with everything but `points` bound to all fixed
-    points, or to chunks of them in `jobs` worker processes.
+    points, or to chunks of them in at most `jobs` worker processes.
 
-    The workers are forked once per process, at first use, and then serve
+    The pool starts all its workers at first use, so there are never more
+    of them than CPUs.  They are forked once per process and then serve
     every later sum, keeping their character caches warm.
     """
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1:
         return route_sum(points)
-    parts = list(_pool(jobs).map(route_sum, _chunked(points, jobs * 4)))
+    parts = list(_pool(workers).map(route_sum, _chunked(points, workers * 4)))
     return sum(parts[1:], parts[0])
 
 

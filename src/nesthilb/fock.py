@@ -23,18 +23,18 @@ as [alpha_m(g), alpha_{-m}(g')] = (-1)^(m-1) m <g, g'>, the unique sign
 for which the vertex-operator exchange relation
 Gamma_+ Gamma_- = (1 + z1/z2)^<M1,M2> Gamma_- Gamma_+ holds.
 
-Formal variables are carried on the two exponent slots of a LaurentPoly
-coefficient per state; what the slots mean (z1/z2, or z/q) is chosen by
-each computation.  No coefficient is ever a fraction.  A relation check
-builds each operator once, as a map on {state: coeff}, and applies it to
-every basis state; the Heisenberg check runs on int coefficients.
+Every coefficient is an int.  `apply_alpha` builds a map
+{state: int} -> {state: int}; `gamma_operator` builds a map
+{state: int} -> {(state, k): int} whose key carries the power k of z,
+so a formal variable is an integer exponent, never a polynomial slot.
+A relation check builds each operator once and applies it to every
+basis state.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .laurent import LaurentPoly
 from .partitions import partition_tuples
 from .series import linear_power, product_formula
 from .symmetric import exp_series, grading, power_sum, product, shift_map, splits
@@ -97,55 +97,6 @@ class Lattice:
         return (0,) * self.rank
 
 
-class FockElement:
-    """Finite combination of basis states with LaurentPoly coefficients.
-
-    A state is a sorted tuple of (mode > 0, basis index) pairs, the
-    monomial prod h_mode^(index); the empty tuple is the vacuum.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {state: poly for state, poly in (terms or {}).items() if poly}
-
-    @classmethod
-    def vacuum(cls):
-        return cls({(): LaurentPoly.one()})
-
-    @classmethod
-    def basis(cls, state):
-        return cls({tuple(sorted(state)): LaurentPoly.one()})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for state, poly in other.terms.items():
-            _add(terms, state, poly)
-        return FockElement(terms)
-
-    def scale(self, factor):
-        """Multiply every coefficient by a LaurentPoly or scalar."""
-        return FockElement({s: p * factor for s, p in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, FockElement) and self.terms == other.terms
-
-    def filtered(self, keep):
-        """Keep only coefficient monomials for which keep((e1, e2)) is true."""
-        return FockElement({s: LaurentPoly({e: c for e, c in p.terms.items() if keep(e)})
-                            for s, p in self.terms.items()})
-
-    def __repr__(self):
-        return f"FockElement({self.terms!r})"
-
-
 @lru_cache(maxsize=None)
 def basis_states(rank, n):
     """All states of grading n over a rank-r lattice, in sorted order.
@@ -162,24 +113,14 @@ def basis_states(rank, n):
     ))
 
 
-def _add(out, state, coeff):
-    out[state] = out[state] + coeff if state in out else coeff
-
-
 def _lowering(lattice, v):
     """Gamma_+(v) on basis states, with z^(-r) for a grading drop r left to the caller."""
     return shift_map([lattice.pair_basis(v, j) for j in range(lattice.rank)])
 
 
-def _z_power(zarg, k):
-    """z^k as a LaurentPoly monomial, for z = s * w1^e1 w2^e2 with s = +-1."""
-    (e1, e2), s = zarg
-    return LaurentPoly.monomial(k * e1, k * e2, s ** (k % 2))
-
-
-def _alpha(lattice, m, v, cap):
-    """alpha_m(v) as a map {state: coeff} -> {state: coeff}, coefficients int or
-    LaurentPoly; creation drops states graded above cap, and zeros may remain."""
+def apply_alpha(lattice, m, v, cap):
+    """alpha_m(v) as a map {state: int} -> {state: int}; creation drops
+    states graded above cap, and zero coefficients may remain."""
     if m == 0:
         raise FockError("mode must be nonzero")
     if m < 0:
@@ -192,27 +133,30 @@ def _alpha(lattice, m, v, cap):
         for state, coeff in x.items():
             if m < 0 and grading(state) - m <= cap:
                 for p, k in terms:
-                    _add(out, product(state, p), coeff * k)
+                    key = product(state, p)
+                    out[key] = out.get(key, 0) + coeff * k
             for j, (mode, idx) in enumerate(state if m > 0 else ()):
                 if mode >= m and pairs[idx]:
                     lowered = ((mode - m, idx),) if mode > m else ()
-                    _add(out, product(state[:j] + state[j + 1 :], lowered), coeff * pairs[idx])
+                    key = product(state[:j] + state[j + 1 :], lowered)
+                    out[key] = out.get(key, 0) + coeff * pairs[idx]
         return out
 
     return op
 
 
-def _gamma(lattice, sign, v, zarg, cap):
-    """exp(sum_{n>0} z^(-sign*n)/n alpha_{sign*n}(v)) as a map on {state: LaurentPoly},
-    for z = s * w1^e1 w2^e2 given as zarg = ((e1, e2), s) with s = +-1.
-    Gamma_- (sign -1) acts below the cap; Gamma_+ is exact on every state."""
+def gamma_operator(lattice, sign, v, cap):
+    """exp(sum_{n>0} z^(-sign*n)/n alpha_{sign*n}(v)) as a map
+    {state: int} -> {(state, k): int}, with k the power of z.
+
+    Gamma_- (sign -1) multiplies by the degree-k part of prod H^v, below
+    the cap; Gamma_+ is exact on every state, and k is minus its drop in
+    grading.
+    """
     if sign not in (1, -1):
         raise FockError("sign must be +1 or -1")
-    if zarg[1] not in (1, -1):
-        raise FockError("z-argument scalar must be +-1")
     if sign < 0:
-        series = [[(g, _z_power(zarg, d) * c) for g, c in part.items()]
-                  for d, part in enumerate(exp_series(v, cap))]
+        series = exp_series(v, cap)
     else:
         image = _lowering(lattice, v)
 
@@ -221,54 +165,47 @@ def _gamma(lattice, sign, v, zarg, cap):
         for state, coeff in x.items():
             n = grading(state)
             if sign < 0:
-                for part in series[: max(cap - n, 0) + 1]:
-                    for g, c in part:
-                        _add(out, product(state, g), coeff * c)
+                for k, part in enumerate(series[: max(cap - n, 0) + 1]):
+                    for g, c in part.items():
+                        key = (product(state, g), k)
+                        out[key] = out.get(key, 0) + coeff * c
             else:
                 for low, c in image(state).items():
-                    _add(out, low, coeff * (_z_power(zarg, grading(low) - n) * c))
+                    key = (low, grading(low) - n)
+                    out[key] = out.get(key, 0) + coeff * c
         return out
 
     return op
 
 
-def apply_alpha(lattice, m, v, x, cap):
-    """One Heisenberg mode alpha_m(v) on a FockElement; see _alpha."""
-    return FockElement(_alpha(lattice, m, v, cap)(x.terms))
-
-
-def gamma_operator(lattice, sign, v, zarg, x, cap):
-    """A half-vertex operator on a FockElement; see _gamma."""
-    return FockElement(_gamma(lattice, sign, v, zarg, cap)(x.terms))
-
-
-def number_operator(x):
-    """q^N: scale each state by q^grading, q living on slot 1."""
-    return FockElement({state: poly.shift((0, grading(state))) for state, poly in x.terms.items()})
-
-
 def gamma_commutation_check(lattice, m1, m2, cap):
     """Verify Gamma_+(M2,z2) Gamma_-(M1,z1) = (1+z1/z2)^<M1,M2> reversed.
 
-    Checked on every basis state of grading <= cap.  Truncation is exact
-    on coefficient monomials whose z1-exponent is at most cap minus the
-    state's grading; only that window is compared.
+    Checked on every basis state of grading <= cap.  A term is keyed by
+    its state and its power of z1; the power of z2 is the state's grading
+    minus the start grading minus that power.  Truncation is exact on the
+    z1-powers up to cap minus the start grading; only that window is
+    compared.
     """
     if cap < 1:
         raise FockError("cap must be at least 1")
     p = lattice.pair(m1, m2)
-    plus = _gamma(lattice, 1, m2, ((0, 1), 1), cap)
-    minus = _gamma(lattice, -1, m1, ((1, 0), 1), cap)
+    plus = gamma_operator(lattice, 1, m2, cap)
+    minus = gamma_operator(lattice, -1, m1, cap)
     for n in range(cap + 1):
         window = cap - n
-        binomial = linear_power(1, p, window).coeffs
-        scalar = LaurentPoly({(k, -k): c for k, c in enumerate(binomial)})
+        binomial = [int(c) for c in linear_power(1, p, window).coeffs]
+        keep = lambda terms: {k: c for k, c in terms.items() if c and k[1] <= window}
         for state in basis_states(lattice.rank, n):
-            x = {state: LaurentPoly.one()}
-            lhs = FockElement(plus(minus(x)))
-            rhs = FockElement(minus(plus(x))).scale(scalar)
-            keep = lambda e: e[0] <= window
-            if lhs.filtered(keep) != rhs.filtered(keep):
+            lhs, rhs = {}, {}
+            for (s, k1), c in minus({state: 1}).items():
+                for (t, _), d in plus({s: c}).items():
+                    lhs[t, k1] = lhs.get((t, k1), 0) + d
+            for (s, _), c in plus({state: 1}).items():
+                for (t, k1), d in minus({s: c}).items():
+                    for j, b in enumerate(binomial):
+                        rhs[t, k1 + j] = rhs.get((t, k1 + j), 0) + b * d
+            if keep(lhs) != keep(rhs):
                 return False
     return True
 
@@ -276,17 +213,14 @@ def gamma_commutation_check(lattice, m1, m2, cap):
 def qn_conjugation_check(lattice, v, cap):
     """Verify q^N Gamma_-(M, z) = Gamma_-(M, qz) q^N on all states <= cap.
 
-    Slot 0 carries z, slot 1 carries q; both sides truncate identically,
-    so the comparison is an exact equality.
+    Both sides truncate identically, so the relation holds exactly when
+    every z^k term of Gamma_- applied to a state of grading n lands in
+    grading n + k.
     """
-    at_z = _gamma(lattice, -1, v, ((1, 0), 1), cap)
-    at_qz = _gamma(lattice, -1, v, ((1, 1), 1), cap)
+    minus = gamma_operator(lattice, -1, v, cap)
     for n in range(cap + 1):
         for state in basis_states(lattice.rank, n):
-            x = FockElement.basis(state)
-            lhs = number_operator(FockElement(at_z(x.terms)))
-            rhs = FockElement(at_qz(number_operator(x).terms))
-            if lhs != rhs:
+            if any(c and grading(t) != n + k for (t, k), c in minus({state: 1}).items()):
                 return False
     return True
 
@@ -366,7 +300,7 @@ def heisenberg_check(lattice, cap):
     """
     big = 2 * cap  # room so creation before annihilation is not clipped
     rank = range(lattice.rank)
-    alpha = {(m, i): _alpha(lattice, m, tuple(int(i == j) for j in rank), big)
+    alpha = {(m, i): apply_alpha(lattice, m, tuple(int(i == j) for j in rank), big)
              for m in range(-cap, cap + 1) if m for i in rank}
     for grade in range(cap + 1):
         for state in basis_states(lattice.rank, grade):
@@ -379,9 +313,9 @@ def heisenberg_check(lattice, cap):
                         for gj in rank:
                             comm = alpha[m, gi](up[gj])
                             for s, c in alpha[n, gj](down[gi]).items():
-                                _add(comm, s, -c)
+                                comm[s] = comm.get(s, 0) - c
                             want = (-1) ** (m - 1) * m * lattice.pairing[gi][gj] if n == -m else 0
-                            _add(comm, state, -want)
+                            comm[state] = comm.get(state, 0) - want
                             if any(comm.values()):
                                 return False
     return True

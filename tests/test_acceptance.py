@@ -91,7 +91,9 @@ def test_criterion_8_fock_trace():
     """Truncated Fock traces reproduce the closed three-family product."""
     assert_checks_pass(
         "fock",
+        "Heisenberg commutation relations",
         "half-vertex exchange relation up to grading 3",
+        "grading-operator conjugation rescales the vertex argument",
         *(f"graded trace equals closed product on {name} lattice, M1={m1} M2={m2}"
           for name, m1, m2 in (("plane", (0, 1, 0), (0, 2, 0)), ("plane", (1, 1, 0), (0, 2, 1)),
                                ("quadric", (0, 0, 0, 0), (0, 1, 2, 0)),

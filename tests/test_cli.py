@@ -297,6 +297,7 @@ def test_jobs_reuse_one_worker_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     engine._pool.cache_clear()
     try:
         code, _ = run_cli(["integrate", "--surface", "p2", "--bundle", "K",
@@ -307,6 +308,33 @@ def test_jobs_reuse_one_worker_pool(monkeypatch):
             pool.shutdown()
     assert code == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("cpus", [3, None])
+def test_jobs_beyond_the_cpus_start_one_worker_per_cpu(monkeypatch, cpus):
+    """A pool starts every worker at first use, so --jobs is capped by the CPU count."""
+    built, chunks = [], []
+
+    class InProcessPool:  # records the pool's size and starts no process
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def map(self, fn, parts):
+            chunks.append(len(parts))
+            return map(fn, parts)
+
+    argv = ["integrate", "--surface", "p2", "--bundle", "K", "--n1", "2", "--n2", "1",
+            "--route", "product", "--jobs"]
+    serial = run_cli(argv + ["1"])
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    engine._pool.cache_clear()
+    try:
+        assert run_cli(argv + ["100000"]) == serial
+    finally:
+        engine._pool.cache_clear()
+    assert built == ([3] if cpus else [])
+    assert bool(chunks) == bool(cpus) and all(n <= 3 * 4 for n in chunks)
 
 
 def test_verify_has_no_format_option():

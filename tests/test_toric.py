@@ -1,5 +1,6 @@
 """Toric surfaces, equivariant line bundles, intersection numbers."""
 
+import functools
 from fractions import Fraction
 from itertools import count
 
@@ -205,11 +206,19 @@ def surfaces_with_bundles(draw):
     return surface, surface.line_bundle(coeffs)
 
 
+@functools.cache
+def _fit():
+    return engine.universal_series_fit(3)
+
+
 def _check_intersections_and_closed_form(surface, bundle):
     k = surface.canonical_bundle()
     for l1, l2 in ((bundle, bundle), (bundle, k), (k, k)):
         assert intersection_number(surface, l1, l2) == _localization_sum(surface, l1, l2)
-    assert engine.z_nest_series(surface, bundle, 3) == engine.closed_form_series(surface, bundle, 3)
+    series = engine.z_nest_series(surface, bundle, 3)
+    assert series == engine.closed_form_series(surface, bundle, 3)
+    # universality: the fit from the four generators predicts any surface
+    assert engine.predicted_series(_fit(), chern_numbers(surface, bundle)) == series
 
 
 @settings(max_examples=25, deadline=None)
