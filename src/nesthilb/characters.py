@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .laurent import LaurentPoly
 from .partitions import NestedPair, staircase_numerator, z_character
@@ -100,6 +101,29 @@ def trivial_multiplicity(c):
     return c.coeff(0, 0)
 
 
+def euler_factors(c, spec):
+    """Integer Euler class of the live weights of a character: (num, den, dead).
+
+    num / den multiplies (a x + b y)^mult over the weights that the numeric
+    specialization (x, y) keeps nonzero, negative multiplicities dividing;
+    dead = {weight: mult} holds the weights that it sends to 0, the trivial
+    weight included.  All three multiply (num, den) or add (dead) over a sum
+    of characters.
+    """
+    x, y = spec
+    num = den = 1
+    dead = {}
+    for (a, b), mult in c.terms.items():
+        w = a * x + b * y
+        if not w:
+            dead[a, b] = mult
+        elif mult > 0:
+            num *= w ** mult
+        else:
+            den *= w ** (-mult)
+    return num, den, dead
+
+
 def euler_class(c, spec):
     """Equivariant Euler class of a character at a numeric specialization.
 
@@ -107,19 +131,53 @@ def euler_class(c, spec):
     divide.  Trivial weights are forbidden (they force a vanishing or
     ill-defined class) and zero specialized weights signal a bad draw.
     """
-    x, y = spec
     if trivial_multiplicity(c):
         raise TrivialWeightError("trivial weight in Euler class")
-    num = den = 1
+    num, den, dead = euler_factors(c, spec)
+    if dead:
+        raise DegenerateSpecializationError("degenerate specialization")
+    return Fraction(num, den)
+
+
+def power_sums(c, spec, cap):
+    """Signed power sums of the live weights of a character: (p, dead).
+
+    p[k] = (-1)^(k-1) sum mult w^k for 1 <= k <= cap (p[0] = 0) over the
+    weights w = a x + b y that the numeric specialization (x, y) keeps
+    nonzero, and dead = {weight: mult} holds the nontrivial weights that it
+    sends to 0.  Both add over a sum of characters.  Trivial weights add
+    nothing to either, which is what makes top Chern classes of classes with
+    trivial summands vanish.
+    """
+    x, y = spec
+    p = [0] * (cap + 1)
+    dead = {}
     for (a, b), mult in c.terms.items():
         w = a * x + b * y
-        if w == 0:
-            raise DegenerateSpecializationError("degenerate specialization")
-        if mult > 0:
-            num *= w ** mult
-        else:
-            den *= w ** (-mult)
-    return Fraction(num, den)
+        if not w:
+            if (a, b) != TRIVIAL:
+                dead[a, b] = mult
+            continue
+        term = -mult
+        for k in range(1, cap + 1):
+            term *= -w
+            p[k] += term
+    return p, dead
+
+
+def newton_chern(p):
+    """The Chern classes [e_0, ..., e_cap] of the signed power sums p.
+
+    Newton's identities k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} p_i, all in
+    integers, with the signs already in p; each division by k is exact, and
+    a remainder raises LocalizationError.
+    """
+    e = [1] + [0] * (len(p) - 1)
+    for k in range(1, len(p)):
+        e[k], rem = divmod(sum(map(mul, e[k - 1 :: -1], p[1 : k + 1])), k)
+        if rem:
+            raise LocalizationError(f"Newton's identity left remainder {rem} in degree {k}")
+    return e
 
 
 def chern_poly(c, spec, cap):
@@ -127,27 +185,11 @@ def chern_poly(c, spec, cap):
 
     Returns the GradedPoly whose degree-k coefficient is the specialization
     of the k-th Chern class of the product of (1 + g (a x + b y))^mult over
-    all weights, at an integer specialization (x, y).  The Chern classes
-    e_k come from the power sums p_k = sum mult w^k by Newton's identities
-    k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} p_i, all in integers; each
-    division by k is exact, and a remainder raises LocalizationError.
-    Trivial weights add nothing to the power sums, which is what makes top
-    Chern classes of classes with trivial summands vanish.
+    all weights, at an integer specialization (x, y): Newton's identities
+    on the power sums.  A nontrivial weight that the specialization kills
+    raises DegenerateSpecializationError.
     """
-    x, y = spec
-    power_sums = [0] * (cap + 1)
-    for (a, b), mult in c.terms.items():
-        w = a * x + b * y
-        if w == 0 and (a, b) != TRIVIAL:
-            raise DegenerateSpecializationError("degenerate specialization")
-        term = mult
-        for k in range(1, cap + 1):
-            term *= w
-            power_sums[k] += term
-    e = [1] + [0] * cap
-    for k in range(1, cap + 1):
-        acc = sum((-1) ** (i - 1) * e[k - i] * power_sums[i] for i in range(1, k + 1))
-        e[k], rem = divmod(acc, k)
-        if rem:
-            raise LocalizationError(f"Newton's identity left remainder {rem} in degree {k}")
-    return GradedPoly(cap, e)
+    p, dead = power_sums(c, spec, cap)
+    if dead:
+        raise DegenerateSpecializationError("degenerate specialization")
+    return GradedPoly(cap, newton_chern(p))

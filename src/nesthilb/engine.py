@@ -22,12 +22,14 @@ values with their specializations; the CLI labels and encodes them.
 
 from __future__ import annotations
 
+import atexit
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
+from math import gcd
+from operator import add, sub
 
 from .characters import (
     DegenerateSpecializationError,
@@ -35,6 +37,9 @@ from .characters import (
     block_character,
     chern_poly,
     euler_class,
+    euler_factors,
+    newton_chern,
+    power_sums,
     virtual_tangent_character,
 )
 from .laurent import LaurentPoly
@@ -180,6 +185,49 @@ def _nested_sums(surface, nums, dens, grid, spec):
     return {(n1, n2): GradedPoly(n1 + n2, total[n1, n2].coeffs) for n1, n2 in grid}
 
 
+@lru_cache(maxsize=None)
+def _block_power_sums(u, v, mu_a, mu_b, shift, spec, cap):
+    """Power sums and dead weights of one chart's block, twisted by the
+    bundle weight `shift` (None: untwisted)."""
+    block = _global_block(u, v, mu_a, mu_b)
+    return power_sums(block if shift is None else block.shift(shift), spec, cap)
+
+
+@lru_cache(maxsize=None)
+def _tangent_euler_factors(u, v, mu, spec):
+    """Integer Euler factors of one chart's tangent to a Hilbert scheme."""
+    return euler_factors(_global_tangent(u, v, mu, mu), spec)
+
+
+def _check_dead(killed):
+    """Raise unless the weights killed in the (dead, sign) parts of a sum of
+    characters cancel: as in the summed character, only a killed weight of
+    nonzero net multiplicity makes the draw degenerate."""
+    net = {}
+    for dead, sign in killed:
+        for weight, mult in dead.items():
+            net[weight] = net.get(weight, 0) + sign * mult
+    if any(net.values()):
+        raise DegenerateSpecializationError("degenerate specialization")
+
+
+def _fiber_power_sums(charts, twists, tup_a, tup_b, spec, cap):
+    """Power sums of the sum over the charts and the (weights-or-None, sign)
+    twists of the fiber blocks from the ideals tup_a to tup_b."""
+    total = [0] * (cap + 1)
+    killed = []
+    for u, v, i in charts:
+        for weights, sign in twists:
+            p, dead = _block_power_sums(u, v, tup_a[i], tup_b[i],
+                                        weights and weights[i], spec, cap)
+            total = list(map(add if sign > 0 else sub, total, p))
+            if dead:
+                killed.append((dead, sign))
+    if killed:
+        _check_dead(killed)
+    return total
+
+
 def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     """Localization sum over the product of Hilbert schemes.
 
@@ -187,24 +235,51 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     factors of degree n1+n2 each, swap exchanging the ideals chartwise;
     nums/dens contribute total Chern classes tracked in the formal grading.
     The grading degree left for extraction is (2 - len(tops)) * (n1 + n2).
+
+    At a fixed specialization power sums add and Euler classes multiply
+    over the charts, so every point adds up cached chart power sums and
+    multiplies cached chart Euler factors; the sum runs over one integer
+    denominator, with one Fraction per coefficient at the end.
     """
     cap = max((2 - len(tops)) * (n1 + n2), 0)
     top_degree = n1 + n2
-    total = GradedPoly(cap)
+    charts = [(c.u, c.v, c.index) for c in surface.charts]
+    top_twists = [([(None if b is None else b.weights, 1)], swap) for b, swap in tops]
+    integrand = [(m.weights, 1) for m in nums] + [(m.weights, -1) for m in dens]
+    acc = [0] * (cap + 1)
+    denom = 1
     for tup1, tup2 in points:
         scalar = 1
-        for bundle, swap in tops:
+        for twist, swap in top_twists:
             source, target = (tup2, tup1) if swap else (tup1, tup2)
-            char = _fiber_character(surface, bundle, source, target)
-            scalar *= chern_poly(char, spec, top_degree).coeffs[top_degree]
+            p = _fiber_power_sums(charts, twist, source, target, spec, top_degree)
+            scalar *= newton_chern(p)[top_degree]
             if not scalar:
                 break
         if not scalar:
             continue
-        e = euler_class(_tangent(surface, tup1, tup1) + _tangent(surface, tup2, tup2), spec)
-        integrand = _integrand_character(surface, nums, dens, tup1, tup2)
-        total = total + chern_poly(integrand, spec, cap) * (scalar / e)
-    return total
+        num = den = 1
+        killed = []
+        for u, v, i in charts:
+            for mu in (tup1[i], tup2[i]):
+                n, d, dead = _tangent_euler_factors(u, v, mu, spec)
+                num *= n
+                den *= d
+                if dead:
+                    killed.append((dead, 1))
+        if killed:
+            _check_dead(killed)
+        e = newton_chern(_fiber_power_sums(charts, integrand, tup1, tup2, spec, cap))
+        # add scalar * den / num * e to acc / denom
+        if num < 0:
+            num, den = -num, -den
+        scale = num // gcd(denom, num)
+        if scale != 1:
+            denom *= scale
+            acc = [a * scale for a in acc]
+        factor = scalar * den * (denom // num)
+        acc = [a + factor * c for a, c in zip(acc, e)]
+    return GradedPoly(cap, [Fraction(a, denom) for a in acc])
 
 
 def _chunked(seq, chunks):
@@ -214,7 +289,14 @@ def _chunked(seq, chunks):
 
 @cache
 def _pool(jobs):
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers=jobs)
+
+
+# Free the pools at exit, while the modules that their collection callback
+# uses are intact; at interpreter teardown they may be cleared already.
+atexit.register(_pool.cache_clear)
 
 
 def _parallel_sum(route_sum, points, jobs):

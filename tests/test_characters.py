@@ -14,6 +14,9 @@ from nesthilb.characters import (
     block_character_resolution,
     chern_poly,
     euler_class,
+    euler_factors,
+    newton_chern,
+    power_sums,
     trivial_multiplicity,
     virtual_tangent_character,
     virtual_tangent_character_resolution,
@@ -170,3 +173,35 @@ def test_chern_poly_rejects_non_integer_specialization():
     # at x = 1/2 the first power sum is 1/2, which no integer e_1 matches
     with pytest.raises(LocalizationError, match="remainder"):
         chern_poly(LaurentPoly({(1, 0): 1}), (Fraction(1, 2), 1), 1)
+
+
+small_specs = st.tuples(st.integers(-4, 4).filter(bool), st.integers(-4, 4).filter(bool))
+
+
+@given(nontrivial_characters, nontrivial_characters, small_specs, st.integers(0, 6))
+@settings(max_examples=120)
+def test_power_sums_add_over_a_sum(a, b, spec, cap):
+    """Power sums and dead weights of a + b are those of a plus those of b,
+    and Newton's identities on them give chern_poly(a + b)."""
+    (pa, dead_a), (pb, dead_b) = power_sums(a, spec, cap), power_sums(b, spec, cap)
+    p, dead = power_sums(a + b, spec, cap)
+    assert p == [x + y for x, y in zip(pa, pb)]
+    net = {w: dead_a.get(w, 0) + dead_b.get(w, 0) for w in {*dead_a, *dead_b}}
+    assert dead == {w: m for w, m in net.items() if m}
+    if dead:
+        with pytest.raises(DegenerateSpecializationError):
+            chern_poly(a + b, spec, cap)
+    else:
+        assert GradedPoly(cap, newton_chern(p)) == chern_poly(a + b, spec, cap)
+
+
+@given(st.lists(nontrivial_characters, min_size=1, max_size=4), small_specs)
+@settings(max_examples=120)
+def test_euler_factors_multiply_to_euler_class(parts, spec):
+    factors = [euler_factors(c, spec) for c in parts]
+    assume(not any(dead for _, _, dead in factors))
+    num = den = 1
+    for n, d, _ in factors:
+        num, den = num * n, den * d
+    assert all(type(f) is int for f in (num, den))
+    assert Fraction(num, den) == euler_class(sum(parts[1:], parts[0]), spec)

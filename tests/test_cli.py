@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes, schemas."""
 
+import concurrent.futures
 import io
 import json
 import os
@@ -291,12 +292,12 @@ def test_console_script_entry_point():
 def test_jobs_reuse_one_worker_pool(monkeypatch):
     built = []
 
-    class CountingPool(engine.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             built.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     engine._pool.cache_clear()
     try:
@@ -326,7 +327,7 @@ def test_jobs_beyond_the_cpus_start_one_worker_per_cpu(monkeypatch, cpus):
     argv = ["integrate", "--surface", "p2", "--bundle", "K", "--n1", "2", "--n2", "1",
             "--route", "product", "--jobs"]
     serial = run_cli(argv + ["1"])
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     engine._pool.cache_clear()
     try:
@@ -335,6 +336,18 @@ def test_jobs_beyond_the_cpus_start_one_worker_per_cpu(monkeypatch, cpus):
         engine._pool.cache_clear()
     assert built == ([3] if cpus else [])
     assert bool(chunks) == bool(cpus) and all(n <= 3 * 4 for n in chunks)
+
+
+def test_cli_import_loads_no_process_pool():
+    """The pool's modules load only when a --jobs sum starts one."""
+    code = ("import sys, nesthilb.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_has_no_format_option():

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from nesthilb import engine
 from nesthilb.characters import (
     DegenerateSpecializationError,
+    LocalizationError,
     chern_poly,
     euler_class,
+    power_sums,
     virtual_tangent_character_resolution,
 )
 from nesthilb.engine import SpecializationDisagreement
@@ -33,6 +35,30 @@ def _fixed_point_sum(surface, nums, dens, n1, n2, spec):
         integrand = engine._integrand_character(surface, nums, dens, outer, inner)
         total = total + chern_poly(integrand, spec, cap) * (1 / e)
     return total
+
+
+def _assembled_point(surface, tops, nums, dens, n1, n2, spec, point):
+    """The product route's summand at one product fixed point from the
+    global characters: the reference for the chart-local kernel."""
+    tup1, tup2 = point
+    cap = max((2 - len(tops)) * (n1 + n2), 0)
+    scalar = 1
+    for bundle, swap in tops:
+        source, target = (tup2, tup1) if swap else (tup1, tup2)
+        char = engine._fiber_character(surface, bundle, source, target)
+        scalar *= chern_poly(char, spec, n1 + n2).coeffs[n1 + n2]
+        if not scalar:
+            return GradedPoly(cap)
+    e = euler_class(engine._tangent(surface, tup1, tup1) + engine._tangent(surface, tup2, tup2), spec)
+    integrand = engine._integrand_character(surface, nums, dens, tup1, tup2)
+    return chern_poly(integrand, spec, cap) * (scalar / e)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except LocalizationError as err:
+        return type(err)
 
 
 def test_fixed_point_counts():
@@ -109,6 +135,42 @@ def test_local_keys_are_the_chart_components(name):
         }
         assert engine._local_keys([(n1, n2)]) == sorted(components), (n1, n2)
     assert engine._local_keys(grid) == sorted(grid)
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
+def test_product_kernel_matches_assembled_characters(name):
+    """At every product fixed point of (2, 1) and (3, 1), the chart-local
+    power sums and Euler factors give the summand of the global characters,
+    or raise the same error, also at specializations that kill weights."""
+    surface = builtin_surface(name)
+    k = len(surface.charts)
+    h = surface.line_bundle([1] + [0] * (k - 1))
+    d = surface.line_bundle([0, 2] + [0] * (k - 2))
+    integrands = [
+        (engine._NESTED_LOCUS, [h], []),
+        # the h blocks cancel: a weight that one of them loses is no dead weight
+        (engine._NESTED_LOCUS, [h, surface.canonical_bundle()], [h]),
+        (((h, False), (d, True)), [], []),
+    ]
+    outcomes, cancelled = set(), 0
+    for n1, n2 in ((2, 1), (3, 1)):
+        for spec in ((13, 29), (1, 1), (1, -1), (2, 1)):
+            for tops, nums, dens in integrands:
+                for point in engine.enumerate_product_fixed_points(surface, n1, n2):
+                    args = (surface, tops, nums, dens, n1, n2, spec)
+                    expected = _outcome(lambda: _assembled_point(*args, point))
+                    assert _outcome(lambda: engine._product_sum(*args, [point])) == expected, (
+                        spec, tops, point)
+                    outcomes.add(expected if isinstance(expected, type) else "value")
+                    if dens and not isinstance(expected, type) and any(
+                        power_sums(engine._global_block(c.u, c.v, point[0][c.index],
+                                                        point[1][c.index]).shift(h.weights[c.index]),
+                                   spec, 0)[1]
+                        for c in surface.charts
+                    ):
+                        cancelled += 1
+    assert outcomes == {"value", DegenerateSpecializationError}
+    assert cancelled
 
 
 def test_product_fixed_points_include_non_nested():
