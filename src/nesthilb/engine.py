@@ -9,7 +9,9 @@ Two independent routes compute the same invariants:
   specialization both classes are multiplicative over the charts, so the
   sum over the fixed points of every (n1, n2) at once is the product over
   the charts of local tables {(a, b): sum over the one-chart nested pairs
-  of sizes (a, b)}, truncated to the requested grid;
+  of sizes (a, b)}, truncated to the requested grid.  Each table holds
+  integers over one chart denominator, so the route makes a Fraction only
+  for each final coefficient;
 * the product route sums over all pairs of partition tuples (nested or
   not) on the product of two Hilbert schemes, cutting down to the nested
   locus with the top Chern class of the untwisted fiber class.
@@ -28,18 +30,19 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from math import gcd
+from math import gcd, lcm
 from operator import add, sub
 
 from .characters import (
     DegenerateSpecializationError,
     LocalizationError,
+    TrivialWeightError,
     block_character,
     chern_poly,
-    euler_class,
     euler_factors,
     newton_chern,
     power_sums,
+    trivial_multiplicity,
     virtual_tangent_character,
 )
 from .laurent import LaurentPoly
@@ -147,34 +150,49 @@ def _local_keys(grid):
 
 
 def _chart_table(chart, nums, dens, keys, spec, cap):
-    """One chart's table {(a, b): sum of c(integrand) / e(tangent) over the
-    nested pairs of sizes (a, b) on this chart}."""
-    table = {}
-    for a, b in keys:
-        total = GradedPoly(cap)
-        for pair in enumerate_nested_pairs(a, b):
-            e = euler_class(_global_tangent(chart.u, chart.v, pair.outer, pair.inner), spec)
+    """One chart's integer table and its denominator D_c: ({(a, b): GradedPoly},
+    D_c), where entry / D_c is the sum of c(integrand) / e(tangent) over the
+    nested pairs of sizes (a, b) on this chart.
+
+    With e = num / den, D_c = lcm(|num|) over the chart's pairs, and each
+    pair adds its integer Chern coefficients times den * (D_c // num)."""
+    terms = []
+    for key in keys:
+        for pair in enumerate_nested_pairs(*key):
+            tangent = _global_tangent(chart.u, chart.v, pair.outer, pair.inner)
+            if trivial_multiplicity(tangent):
+                raise TrivialWeightError("trivial weight in Euler class")
+            num, den, dead = euler_factors(tangent, spec)
+            if dead:
+                raise DegenerateSpecializationError("degenerate specialization")
             block = _global_block(chart.u, chart.v, pair.outer, pair.inner)
             integrand = LaurentPoly.zero()
             for m in nums:
                 integrand = integrand + block.shift(m.weights[chart.index])
             for m in dens:
                 integrand = integrand - block.shift(m.weights[chart.index])
-            total = total + chern_poly(integrand, spec, cap) * (1 / e)
-        table[(a, b)] = total
-    return table
+            terms.append((key, chern_poly(integrand, spec, cap).coeffs, num, den))
+    denom = lcm(*(abs(num) for _, _, num, _ in terms))
+    table = {key: [0] * (cap + 1) for key in keys}
+    for key, coeffs, num, den in terms:
+        factor = den * (denom // num)
+        table[key] = [t + factor * c for t, c in zip(table[key], coeffs)]
+    return {key: GradedPoly(cap, coeffs) for key, coeffs in table.items()}, denom
 
 
 def _nested_sums(surface, nums, dens, grid, spec):
     """The nested localization sums {(n1, n2): GradedPoly of cap n1 + n2} of
-    every target of the grid: the product of the chart tables, keeping only
-    the sizes that fit under a target."""
+    every target of the grid: the product of the integer chart tables,
+    keeping only the sizes that fit under a target, over the product of the
+    chart denominators, with one Fraction per coefficient at the end."""
     keys = _local_keys(grid)
     cap = max(n1 + n2 for n1, n2 in grid)
     fits = set(keys)
     total = {(0, 0): GradedPoly.one(cap)}
+    denom = 1
     for chart in surface.charts:
-        table = _chart_table(chart, nums, dens, keys, spec, cap)
+        table, chart_denom = _chart_table(chart, nums, dens, keys, spec, cap)
+        denom *= chart_denom
         product = {}
         for (a1, b1), g1 in total.items():
             for (a2, b2), g2 in table.items():
@@ -182,7 +200,11 @@ def _nested_sums(surface, nums, dens, grid, spec):
                 if key in fits:
                     product[key] = product.get(key, GradedPoly(cap)) + g1 * g2
         total = product
-    return {(n1, n2): GradedPoly(n1 + n2, total[n1, n2].coeffs) for n1, n2 in grid}
+    sums = {}
+    for n1, n2 in grid:
+        coeffs = total[n1, n2].coeffs[: n1 + n2 + 1]
+        sums[n1, n2] = GradedPoly(n1 + n2, [Fraction(c, denom) for c in coeffs])
+    return sums
 
 
 @lru_cache(maxsize=None)

@@ -181,12 +181,16 @@ def chern_numbers(surface, bundle):
     )
 
 
+CONFIG_KEYS = ("name", "rays", "bundles")
+
+
 def load_surface_config(path):
     """Load a surface plus named bundles from a YAML/JSON config file.
 
     Schema: {name: str, rays: [[x, y], ...], bundles: {label: [a_1, ...]}}.
-    A repeated key in any mapping, a name or a label that is not a string
-    is a ToricError.  Returns (surface, {label: bundle}).
+    A repeated key in any mapping, any other top-level key, or a name or a
+    label that is not a string is a ToricError.  Returns (surface,
+    {label: bundle}).
     """
     import yaml
 
@@ -210,6 +214,10 @@ def load_surface_config(path):
             raise ToricError(f"invalid YAML: {' '.join(str(exc).split())}")
     if not isinstance(data, dict) or "rays" not in data:
         raise ToricError("config must be a mapping with a 'rays' field")
+    unknown = [key for key in data if key not in CONFIG_KEYS]
+    if unknown:
+        allowed = ", ".join(CONFIG_KEYS)
+        raise ToricError(f"unknown config key {unknown[0]!r}; allowed keys: {allowed}")
     name = data.get("name", "custom")
     if not isinstance(name, str):
         raise ToricError(f"'name' must be a string, got {name!r}")

@@ -155,9 +155,10 @@ PLANE_RAYS = "rays: [[1,0],[0,1],[-1,-1]]\n"
     PLANE_RAYS + "bundles:\n  h: [1, 0, 0]\n  h: [0, 1, 0]\n",
     "name: [1, 2]\n" + PLANE_RAYS,
     PLANE_RAYS + "bundles:\n  1: [1, 0, 0]\n",
+    PLANE_RAYS + "extra: 1\n",
 ], ids=["wound-twice", "yaml-syntax", "rays-scalar", "bundles-list", "ray-triple",
         "ray-float", "bundle-float", "bundle-bool", "duplicate-label", "name-list",
-        "label-int"])
+        "label-int", "unknown-key"])
 def test_twice_wound_config_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "surface.yaml"
     path.write_text(config)

@@ -9,6 +9,7 @@ from nesthilb import engine
 from nesthilb.characters import (
     DegenerateSpecializationError,
     LocalizationError,
+    TrivialWeightError,
     chern_poly,
     euler_class,
     power_sums,
@@ -119,6 +120,60 @@ def test_factored_kernel_matches_fixed_point_sum(name):
         assert sums[n1, n2] == expected, (n1, n2)
         # the one-point grid of multi_bundle_invariant and invariant_record
         assert engine._nested_sums(surface, nums, dens, [(n1, n2)], spec) == {(n1, n2): expected}
+
+
+def _fraction_chart_table(chart, nums, dens, keys, spec, cap):
+    """One chart's table with one Fraction Euler class per nested pair: the
+    reference for the integer chart tables."""
+    table = {}
+    for a, b in keys:
+        total = GradedPoly(cap)
+        for pair in enumerate_nested_pairs(a, b):
+            e = euler_class(engine._global_tangent(chart.u, chart.v, pair.outer, pair.inner), spec)
+            block = engine._global_block(chart.u, chart.v, pair.outer, pair.inner)
+            integrand = LaurentPoly.zero()
+            for m in nums:
+                integrand = integrand + block.shift(m.weights[chart.index])
+            for m in dens:
+                integrand = integrand - block.shift(m.weights[chart.index])
+            total = total + chern_poly(integrand, spec, cap) * (1 / e)
+        table[a, b] = total
+    return table
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
+def test_chart_tables_are_integral(name):
+    """Every chart table entry holds ints, and over the chart denominator
+    it is the sum of Fraction Euler class quotients over the nested pairs."""
+    surface = builtin_surface(name)
+    k = len(surface.charts)
+    nums = [surface.line_bundle([1] + [0] * (k - 1)), surface.canonical_bundle()]
+    dens = [surface.line_bundle([0, 2] + [0] * (k - 2))]
+    spec = (13, 29)
+    cap = 6
+    keys = engine._local_keys(engine.series_grid(cap))
+    for chart in surface.charts:
+        table, denom = engine._chart_table(chart, nums, dens, keys, spec, cap)
+        assert type(denom) is int and denom > 0
+        reference = _fraction_chart_table(chart, nums, dens, keys, spec, cap)
+        assert sorted(table) == keys
+        for key, entry in table.items():
+            assert all(type(c) is int for c in entry.coeffs), (chart.index, key)
+            assert [Fraction(c, denom) for c in entry.coeffs] == reference[key].coeffs, (
+                chart.index, key)
+
+
+def test_chart_tables_catch_killed_and_trivial_tangent_weights(monkeypatch):
+    """(1, 1) kills the tangent weights (a, -a); with no integrand bundles only
+    the Euler factors see them.  A trivial tangent weight is an error too."""
+    grid = engine.series_grid(2)
+    with pytest.raises(DegenerateSpecializationError):
+        engine._nested_sums(P2, [], [], grid, (1, 1))
+    assert engine._nested_sums(P2, [], [], grid, (13, 29))[0, 0].coeffs == [1]
+    monkeypatch.setattr(engine, "_global_tangent",
+                        lambda u, v, outer, inner: LaurentPoly({(0, 0): 1}))
+    with pytest.raises(TrivialWeightError):
+        engine._nested_sums(P2, [], [], grid, (13, 29))
 
 
 @pytest.mark.parametrize("name", ["p2", "hirzebruch(1)"])

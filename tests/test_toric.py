@@ -3,6 +3,7 @@
 import functools
 from fractions import Fraction
 from itertools import count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +163,16 @@ def test_load_surface_config_rejects_junk(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("just a string\n")
     with pytest.raises(ToricError):
+        load_surface_config(path)
+
+
+def test_shipped_config_loads_and_unknown_keys_are_named(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "configs" / "hirzebruch1.yaml"
+    surface, bundles = load_surface_config(config)
+    assert (surface.name, sorted(bundles)) == ("hirzebruch1", ["anticanonical", "fiber", "section"])
+    path = tmp_path / "extra.yaml"
+    path.write_text(config.read_text() + "extra: 1\n")
+    with pytest.raises(ToricError, match="unknown config key 'extra'"):
         load_surface_config(path)
 
 
