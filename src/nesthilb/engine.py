@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, sub
 
 from .characters import (
@@ -216,6 +216,17 @@ def _block_power_sums(u, v, mu_a, mu_b, shift, spec, cap):
 
 
 @lru_cache(maxsize=None)
+def _block_chern(u, v, mu_a, mu_b, shift, spec, cap):
+    """Chern coefficients up to cap of one chart's block, twisted like
+    `_block_power_sums`, with the index of the last nonzero one and the
+    block's dead weights: (coeffs, degree, dead)."""
+    p, dead = _block_power_sums(u, v, mu_a, mu_b, shift, spec, cap)
+    coeffs = tuple(newton_chern(p))
+    degree = max(k for k, c in enumerate(coeffs) if c)
+    return coeffs, degree, dead
+
+
+@lru_cache(maxsize=None)
 def _tangent_euler_factors(u, v, mu, spec):
     """Integer Euler factors of one chart's tangent to a Hilbert scheme."""
     return euler_factors(_global_tangent(u, v, mu, mu), spec)
@@ -250,6 +261,29 @@ def _fiber_power_sums(charts, twists, tup_a, tup_b, spec, cap):
     return total
 
 
+def _top_chern(charts, weights, tup_a, tup_b, spec, top):
+    """The degree-`top` Chern class of the sum over the charts of the fiber
+    blocks from the ideals tup_a to tup_b, twisted by `weights` (None:
+    untwisted).
+
+    It is the degree-`top` coefficient of the product of the chart Chern
+    polynomials.  Below the sum `reach` of their degrees it vanishes, and
+    at `reach` it is the product of their last coefficients; only a chart
+    with a nonterminating series (a virtual block) needs the product.
+    """
+    entries = [_block_chern(u, v, tup_a[i], tup_b[i], weights and weights[i], spec, top)
+               for u, v, i in charts]
+    killed = [(dead, 1) for _, _, dead in entries if dead]
+    if killed:
+        _check_dead(killed)
+    reach = sum(degree for _, degree, _ in entries)
+    if reach < top:
+        return 0
+    if reach > top:
+        return prod(GradedPoly(top, coeffs) for coeffs, _, _ in entries).coeffs[top]
+    return prod(coeffs[degree] for coeffs, degree, _ in entries)
+
+
 def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     """Localization sum over the product of Hilbert schemes.
 
@@ -258,24 +292,26 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     nums/dens contribute total Chern classes tracked in the formal grading.
     The grading degree left for extraction is (2 - len(tops)) * (n1 + n2).
 
-    At a fixed specialization power sums add and Euler classes multiply
-    over the charts, so every point adds up cached chart power sums and
-    multiplies cached chart Euler factors; the sum runs over one integer
-    denominator, with one Fraction per coefficient at the end.
+    At a fixed specialization power sums add and Chern and Euler classes
+    multiply over the charts.  So every point reads each top factor off
+    the degrees of cached chart Chern polynomials (`_top_chern`), and
+    where all of them are nonzero it adds up cached chart power sums for
+    the integrand and multiplies cached chart Euler factors; the sum runs
+    over one integer denominator, with one Fraction per coefficient at
+    the end.
     """
     cap = max((2 - len(tops)) * (n1 + n2), 0)
     top_degree = n1 + n2
     charts = [(c.u, c.v, c.index) for c in surface.charts]
-    top_twists = [([(None if b is None else b.weights, 1)], swap) for b, swap in tops]
+    top_twists = [(None if b is None else b.weights, swap) for b, swap in tops]
     integrand = [(m.weights, 1) for m in nums] + [(m.weights, -1) for m in dens]
     acc = [0] * (cap + 1)
     denom = 1
     for tup1, tup2 in points:
         scalar = 1
-        for twist, swap in top_twists:
+        for weights, swap in top_twists:
             source, target = (tup2, tup1) if swap else (tup1, tup2)
-            p = _fiber_power_sums(charts, twist, source, target, spec, top_degree)
-            scalar *= newton_chern(p)[top_degree]
+            scalar *= _top_chern(charts, weights, source, target, spec, top_degree)
             if not scalar:
                 break
         if not scalar:

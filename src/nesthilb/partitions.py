@@ -10,7 +10,9 @@ from .laurent import LaurentPoly
 class Partition:
     """A weakly decreasing tuple of positive integers."""
 
-    __slots__ = ("parts",)
+    # the hash is stored once: every cache lookup of the localization routes
+    # hashes partitions
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
@@ -19,6 +21,11 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
         self.parts = parts
+        self._hash = hash(parts)
+
+    def __reduce__(self):
+        # a pickled copy, as sent to a worker process, rebuilds its hash
+        return Partition, (self.parts,)
 
     @property
     def size(self):
@@ -31,7 +38,7 @@ class Partition:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.parts)
+        return self._hash
 
     def __repr__(self):
         return f"Partition{self.parts}"

@@ -33,11 +33,16 @@ from nesthilb.series import GradedPoly, linear_power
 
 
 def test_block_rank():
-    for na in range(4):
-        for nb in range(4):
+    """Every block V(mu_a, mu_b) has only positive multiplicities and rank
+    |mu_a| + |mu_b|: the product route's top factor rests on this, since a
+    chart's Chern series then stops at the number of its live weights."""
+    for na in range(5):
+        for nb in range(5):
             for mu in enumerate_partitions(na):
                 for nu in enumerate_partitions(nb):
-                    assert block_character(mu, nu).rank() == na + nb
+                    block = block_character(mu, nu)
+                    assert all(m > 0 for m in block.terms.values()), (mu, nu)
+                    assert block.rank() == na + nb, (mu, nu)
 
 
 def test_block_matches_resolution_oracle():

@@ -35,6 +35,20 @@ def test_integrate_both_routes_agree():
     assert all(r["value"] == {"num": "9", "den": "1"} for r in payload["records"])
 
 
+def test_product_route_at_depth():
+    """At (6, 3) on p1xp1 the product route, over all 22 960 product fixed
+    points, gives the nested route's value."""
+    code, text = run_cli(
+        ["integrate", "--surface", "p1xp1", "--bundle", "O(1,1)",
+         "--n1", "6", "--n2", "3", "--route", "both"]
+    )
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["agreement"] is True
+    assert [r["route"] for r in payload["records"]] == ["nested", "product"]
+    assert all(r["value"] == {"num": "142660", "den": "1"} for r in payload["records"])
+
+
 def test_integrate_record_serialization():
     code, text = run_cli(["integrate", "--surface", "p2", "--n1", "1", "--n2", "0"])
     assert code == 0

@@ -1,5 +1,8 @@
 """Partition combinatorics and monomial-ideal characters."""
 
+import pickle
+from functools import lru_cache
+
 import pytest
 
 from nesthilb.laurent import LaurentPoly
@@ -24,6 +27,26 @@ def test_partition_counts():
 def test_enumeration_order_is_decreasing_lex():
     parts = [p.parts for p in enumerate_partitions(4)]
     assert parts == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def test_pickled_partition_hashes_and_caches_like_the_original():
+    """Pool workers receive pickled partitions: a copy is equal, hashes equal
+    and hits the cache entries made with the original."""
+    calls = []
+
+    @lru_cache(maxsize=None)
+    def size(mu):
+        calls.append(mu)
+        return mu.size
+
+    originals = enumerate_partitions(4)
+    for mu in originals:
+        size(mu)
+    for mu in originals:
+        copy = pickle.loads(pickle.dumps(mu))
+        assert copy is not mu and copy == mu and hash(copy) == hash(mu)
+        assert size(copy) == 4
+    assert calls == list(originals)
 
 
 def test_partition_validation():
