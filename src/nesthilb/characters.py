@@ -102,41 +102,33 @@ def trivial_multiplicity(c):
 
 
 def euler_factors(c, spec):
-    """Integer Euler class of the live weights of a character: (num, den, dead).
+    """Integer Euler class of a character at a numeric specialization: (num, den).
 
-    num / den multiplies (a x + b y)^mult over the weights that the numeric
-    specialization (x, y) keeps nonzero, negative multiplicities dividing;
-    dead = {weight: mult} holds the weights that it sends to 0, the trivial
-    weight included.  All three multiply (num, den) or add (dead) over a sum
-    of characters.
-    """
-    x, y = spec
-    num = den = 1
-    dead = {}
-    for (a, b), mult in c.terms.items():
-        w = a * x + b * y
-        if not w:
-            dead[a, b] = mult
-        elif mult > 0:
-            num *= w ** mult
-        else:
-            den *= w ** (-mult)
-    return num, den, dead
-
-
-def euler_class(c, spec):
-    """Equivariant Euler class of a character at a numeric specialization.
-
-    Multiplies (a x + b y)^mult over all weights; negative multiplicities
-    divide.  Trivial weights are forbidden (they force a vanishing or
-    ill-defined class) and zero specialized weights signal a bad draw.
+    num / den multiplies (a x + b y)^mult over all weights; negative
+    multiplicities divide.  This is the one owner of the pole rule: a trivial
+    weight raises TrivialWeightError (it forces a vanishing or ill-defined
+    class), and a weight that the specialization (x, y) sends to 0 raises
+    DegenerateSpecializationError, a bad draw.
     """
     if trivial_multiplicity(c):
         raise TrivialWeightError("trivial weight in Euler class")
-    num, den, dead = euler_factors(c, spec)
-    if dead:
-        raise DegenerateSpecializationError("degenerate specialization")
-    return Fraction(num, den)
+    x, y = spec
+    num = den = 1
+    for (a, b), mult in c.terms.items():
+        w = a * x + b * y
+        if not w:
+            raise DegenerateSpecializationError("degenerate specialization")
+        if mult > 0:
+            num *= w ** mult
+        else:
+            den *= w ** (-mult)
+    return num, den
+
+
+def euler_class(c, spec):
+    """Equivariant Euler class of a character at a numeric specialization,
+    as a Fraction; raises like `euler_factors`."""
+    return Fraction(*euler_factors(c, spec))
 
 
 def power_sums(c, spec, cap):

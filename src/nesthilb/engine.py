@@ -36,13 +36,11 @@ from operator import add, sub
 from .characters import (
     DegenerateSpecializationError,
     LocalizationError,
-    TrivialWeightError,
     block_character,
     chern_poly,
     euler_factors,
     newton_chern,
     power_sums,
-    trivial_multiplicity,
     virtual_tangent_character,
 )
 from .laurent import LaurentPoly
@@ -96,39 +94,18 @@ def _global_block(u, v, mu_a, mu_b):
 
 
 @lru_cache(maxsize=None)
-def _global_tangent(u, v, outer, inner):
-    return virtual_tangent_character(NestedPair(outer, inner)).substitute(u, v)
+def _tangent_euler(u, v, outer, inner, spec):
+    """Integer Euler factors (num, den) of one chart's virtual tangent at the
+    nested pair (outer, inner), raising at a pole like `euler_factors`.
 
-
-def _tangent(surface, outer, inner):
-    """Virtual tangent character at the nested fixed point (outer, inner),
-    summed over the charts; at (tup, tup) it is the tangent of one Hilbert
-    scheme, since T(mu, mu) = V(mu, mu)."""
-    terms = [_global_tangent(c.u, c.v, outer[c.index], inner[c.index]) for c in surface.charts]
-    return sum(terms[1:], terms[0])
-
-
-def _fiber_character(surface, bundle, tup_a, tup_b):
-    """Global character of the twisted fiber class at a product fixed point,
-    with source ideals from tup_a and target ideals from tup_b."""
-    total = None
-    for chart in surface.charts:
-        block = _global_block(chart.u, chart.v, tup_a[chart.index], tup_b[chart.index])
-        if bundle is not None:
-            block = block.shift(bundle.weights[chart.index])
-        total = block if total is None else total + block
-    return total
-
-
-def _integrand_character(surface, nums, dens, tup_a, tup_b):
-    """Twisted fiber characters of nums minus those of dens: the virtual
-    character whose total Chern class is prod c(nums) / prod c(dens)."""
-    total = LaurentPoly.zero()
-    for m in nums:
-        total = total + _fiber_character(surface, m, tup_a, tup_b)
-    for m in dens:
-        total = total - _fiber_character(surface, m, tup_a, tup_b)
-    return total
+    It reads the local character at the chart's own weights (u.spec, v.spec):
+    on a unimodular cone (a, b) -> a u + b v is a bijection of Z^2, and
+    (a u + b v).spec = a (u.spec) + b (v.spec), so the weights, their values
+    and the killed ones are those of the global character.
+    """
+    x, y = spec
+    local = (u[0] * x + u[1] * y, v[0] * x + v[1] * y)
+    return euler_factors(virtual_tangent_character(NestedPair(outer, inner)), local)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +136,7 @@ def _chart_table(chart, nums, dens, keys, spec, cap):
     terms = []
     for key in keys:
         for pair in enumerate_nested_pairs(*key):
-            tangent = _global_tangent(chart.u, chart.v, pair.outer, pair.inner)
-            if trivial_multiplicity(tangent):
-                raise TrivialWeightError("trivial weight in Euler class")
-            num, den, dead = euler_factors(tangent, spec)
-            if dead:
-                raise DegenerateSpecializationError("degenerate specialization")
+            num, den = _tangent_euler(chart.u, chart.v, pair.outer, pair.inner, spec)
             block = _global_block(chart.u, chart.v, pair.outer, pair.inner)
             integrand = LaurentPoly.zero()
             for m in nums:
@@ -218,46 +190,38 @@ def _block_power_sums(u, v, mu_a, mu_b, shift, spec, cap):
 @lru_cache(maxsize=None)
 def _block_chern(u, v, mu_a, mu_b, shift, spec, cap):
     """Chern coefficients up to cap of one chart's block, twisted like
-    `_block_power_sums`, with the index of the last nonzero one and the
-    block's dead weights: (coeffs, degree, dead)."""
+    `_block_power_sums`, with the index of the last nonzero one: (coeffs,
+    degree).  A chart block is a genuine character, so no other block of a
+    sum can cancel a weight that the specialization kills in it: such a
+    weight raises."""
     p, dead = _block_power_sums(u, v, mu_a, mu_b, shift, spec, cap)
+    if dead:
+        raise DegenerateSpecializationError("degenerate specialization")
     coeffs = tuple(newton_chern(p))
     degree = max(k for k, c in enumerate(coeffs) if c)
-    return coeffs, degree, dead
-
-
-@lru_cache(maxsize=None)
-def _tangent_euler_factors(u, v, mu, spec):
-    """Integer Euler factors of one chart's tangent to a Hilbert scheme."""
-    return euler_factors(_global_tangent(u, v, mu, mu), spec)
-
-
-def _check_dead(killed):
-    """Raise unless the weights killed in the (dead, sign) parts of a sum of
-    characters cancel: as in the summed character, only a killed weight of
-    nonzero net multiplicity makes the draw degenerate."""
-    net = {}
-    for dead, sign in killed:
-        for weight, mult in dead.items():
-            net[weight] = net.get(weight, 0) + sign * mult
-    if any(net.values()):
-        raise DegenerateSpecializationError("degenerate specialization")
+    return coeffs, degree
 
 
 def _fiber_power_sums(charts, twists, tup_a, tup_b, spec, cap):
     """Power sums of the sum over the charts and the (weights-or-None, sign)
-    twists of the fiber blocks from the ideals tup_a to tup_b."""
+    twists of the fiber blocks from the ideals tup_a to tup_b.
+
+    A block of a negative twist can cancel a weight of a positive one, so
+    the killed weights net over the whole sum: as in the summed character,
+    only a killed weight of nonzero net multiplicity makes the draw
+    degenerate.
+    """
     total = [0] * (cap + 1)
-    killed = []
+    net = {}
     for u, v, i in charts:
         for weights, sign in twists:
             p, dead = _block_power_sums(u, v, tup_a[i], tup_b[i],
                                         weights and weights[i], spec, cap)
             total = list(map(add if sign > 0 else sub, total, p))
-            if dead:
-                killed.append((dead, sign))
-    if killed:
-        _check_dead(killed)
+            for weight, mult in dead.items():
+                net[weight] = net.get(weight, 0) + sign * mult
+    if any(net.values()):
+        raise DegenerateSpecializationError("degenerate specialization")
     return total
 
 
@@ -273,15 +237,12 @@ def _top_chern(charts, weights, tup_a, tup_b, spec, top):
     """
     entries = [_block_chern(u, v, tup_a[i], tup_b[i], weights and weights[i], spec, top)
                for u, v, i in charts]
-    killed = [(dead, 1) for _, _, dead in entries if dead]
-    if killed:
-        _check_dead(killed)
-    reach = sum(degree for _, degree, _ in entries)
+    reach = sum(degree for _, degree in entries)
     if reach < top:
         return 0
     if reach > top:
-        return prod(GradedPoly(top, coeffs) for coeffs, _, _ in entries).coeffs[top]
-    return prod(coeffs[degree] for coeffs, degree, _ in entries)
+        return prod(GradedPoly(top, coeffs) for coeffs, _ in entries).coeffs[top]
+    return prod(coeffs[degree] for coeffs, degree in entries)
 
 
 def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
@@ -298,7 +259,9 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     where all of them are nonzero it adds up cached chart power sums for
     the integrand and multiplies cached chart Euler factors; the sum runs
     over one integer denominator, with one Fraction per coefficient at
-    the end.
+    the end.  A chart Euler factor or a chart top factor raises at a killed
+    weight; only the integrand, whose dens blocks can cancel nums blocks,
+    nets killed weights over its blocks (`_fiber_power_sums`).
     """
     cap = max((2 - len(tops)) * (n1 + n2), 0)
     top_degree = n1 + n2
@@ -317,16 +280,11 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
         if not scalar:
             continue
         num = den = 1
-        killed = []
         for u, v, i in charts:
             for mu in (tup1[i], tup2[i]):
-                n, d, dead = _tangent_euler_factors(u, v, mu, spec)
+                n, d = _tangent_euler(u, v, mu, mu, spec)
                 num *= n
                 den *= d
-                if dead:
-                    killed.append((dead, 1))
-        if killed:
-            _check_dead(killed)
         e = newton_chern(_fiber_power_sums(charts, integrand, tup1, tup2, spec, cap))
         # add scalar * den / num * e to acc / denom
         if num < 0:

@@ -222,7 +222,7 @@ def load_surface_config(path):
     if not isinstance(name, str):
         raise ToricError(f"'name' must be a string, got {name!r}")
     surface = ToricSurface(name, data["rays"])
-    named = data.get("bundles") or {}
+    named = data.get("bundles", {})
     if not isinstance(named, dict):
         raise ToricError("'bundles' must be a mapping from labels to coefficient lists")
     for label in named:

@@ -203,10 +203,12 @@ def test_power_sums_add_over_a_sum(a, b, spec, cap):
 @given(st.lists(nontrivial_characters, min_size=1, max_size=4), small_specs)
 @settings(max_examples=120)
 def test_euler_factors_multiply_to_euler_class(parts, spec):
-    factors = [euler_factors(c, spec) for c in parts]
-    assume(not any(dead for _, _, dead in factors))
+    try:
+        factors = [euler_factors(c, spec) for c in parts]
+    except DegenerateSpecializationError:
+        assume(False)
     num = den = 1
-    for n, d, _ in factors:
+    for n, d in factors:
         num, den = num * n, den * d
     assert all(type(f) is int for f in (num, den))
     assert Fraction(num, den) == euler_class(sum(parts[1:], parts[0]), spec)

@@ -14,7 +14,10 @@ import pytest
 
 from nesthilb import cli, engine, verify
 
-SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMAS = ROOT / "schemas"
+GOLDEN = ROOT / "tests" / "golden"
+CONFIG = str(ROOT / "configs" / "hirzebruch1.yaml")
 
 
 def run_cli(argv):
@@ -47,6 +50,30 @@ def test_product_route_at_depth():
     assert payload["agreement"] is True
     assert [r["route"] for r in payload["records"]] == ["nested", "product"]
     assert all(r["value"] == {"num": "142660", "den": "1"} for r in payload["records"])
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("integrate-p2-O1-3-1-both.json",
+     ["integrate", "--surface", "p2", "--bundle", "O(1)", "--n1", "3", "--n2", "1",
+      "--route", "both"]),
+    ("integrate-p1xp1-O11-5-2-both.json",
+     ["integrate", "--surface", "p1xp1", "--bundle", "O(1,1)", "--n1", "5", "--n2", "2",
+      "--route", "both"]),
+    ("integrate-hirzebruch1-fiber-4-2.csv",
+     ["integrate", "--surface", CONFIG, "--bundle", "fiber", "--n1", "4", "--n2", "2",
+      "--format", "csv"]),
+    ("series-hirzebruch1-fiber-6-closed-form.json",
+     ["series", "--surface", CONFIG, "--bundle", "fiber", "--cap", "6",
+      "--compare", "closed-form"]),
+    ("series-p2-O1-4-product.json",
+     ["series", "--surface", "p2", "--bundle", "O(1)", "--route", "product", "--cap", "4"]),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_output_matches_golden(golden, argv):
+    """At --seed 3 the specializations, values and layout are pinned across
+    versions, byte for byte."""
+    code, text = run_cli(argv + ["--seed", "3"])
+    assert code == 0
+    assert text == (GOLDEN / golden).read_text()
 
 
 def test_integrate_record_serialization():
@@ -170,9 +197,14 @@ PLANE_RAYS = "rays: [[1,0],[0,1],[-1,-1]]\n"
     "name: [1, 2]\n" + PLANE_RAYS,
     PLANE_RAYS + "bundles:\n  1: [1, 0, 0]\n",
     PLANE_RAYS + "extra: 1\n",
+    PLANE_RAYS + "bundles: []\n",
+    PLANE_RAYS + "bundles: 0\n",
+    PLANE_RAYS + "bundles: false\n",
+    PLANE_RAYS + "bundles:\n",
 ], ids=["wound-twice", "yaml-syntax", "rays-scalar", "bundles-list", "ray-triple",
         "ray-float", "bundle-float", "bundle-bool", "duplicate-label", "name-list",
-        "label-int", "unknown-key"])
+        "label-int", "unknown-key", "bundles-empty-list", "bundles-zero", "bundles-false",
+        "bundles-null"])
 def test_twice_wound_config_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "surface.yaml"
     path.write_text(config)
