@@ -105,23 +105,24 @@ def euler_factors(c, spec):
     """Integer Euler class of a character at a numeric specialization: (num, den).
 
     num / den multiplies (a x + b y)^mult over all weights; negative
-    multiplicities divide.  This is the one owner of the pole rule: a trivial
+    multiplicities divide.  This is the one owner of the pole rule: a
+    nontrivial weight that the specialization (x, y) sends to 0 raises
+    DegenerateSpecializationError, a bad draw; failing that, a trivial
     weight raises TrivialWeightError (it forces a vanishing or ill-defined
-    class), and a weight that the specialization (x, y) sends to 0 raises
-    DegenerateSpecializationError, a bad draw.
+    class).
     """
-    if trivial_multiplicity(c):
-        raise TrivialWeightError("trivial weight in Euler class")
     x, y = spec
     num = den = 1
     for (a, b), mult in c.terms.items():
         w = a * x + b * y
-        if not w:
+        if not w and (a, b) != TRIVIAL:
             raise DegenerateSpecializationError("degenerate specialization")
         if mult > 0:
             num *= w ** mult
         else:
             den *= w ** (-mult)
+    if trivial_multiplicity(c):
+        raise TrivialWeightError("trivial weight in Euler class")
     return num, den
 
 

@@ -40,10 +40,28 @@ def _default_seed():
         raise UsageError(f"{DEFAULT_SEED_ENV} must be an integer, got {raw!r}")
 
 
+def _coefficients(text):
+    """Integer coefficients a,b,..., or None if the text is not a list of them."""
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        return None
+
+
+def _in_bundle_grammar(label):
+    """Whether a label is O, K, O(...) or integer coefficients a,b,..."""
+    return (label in ("O", "K") or label.startswith("O(") and label.endswith(")")
+            or _coefficients(label) is not None)
+
+
 def _resolve_surface(spec):
     """A builtin surface name, or a path to a YAML/JSON surface config."""
     if os.path.exists(spec):
-        return load_surface_config(spec)
+        surface, named = load_surface_config(spec)
+        for label in named:
+            if _in_bundle_grammar(label):
+                raise UsageError(f"config bundle label {label!r} would shadow a built-in bundle")
+        return surface, named
     try:
         return builtin_surface(spec), {}
     except ToricError:
@@ -60,17 +78,12 @@ def _resolve_bundle(surface, named, label):
         return surface.structure_sheaf()
     if label == "K":
         return surface.canonical_bundle()
-    if label.startswith("O(") and label.endswith(")"):
-        inner = label[2:-1]
-        try:
-            coeffs = [int(c) for c in inner.split(",")]
-        except ValueError:
-            raise UsageError(f"cannot parse bundle {label!r}")
-        return surface.line_bundle(coeffs + [0] * (len(surface.rays) - len(coeffs)))
-    try:
-        coeffs = [int(c) for c in label.split(",")]
-    except ValueError:
+    wrapped = label.startswith("O(") and label.endswith(")")
+    coeffs = _coefficients(label[2:-1] if wrapped else label)
+    if coeffs is None:
         raise UsageError(f"cannot parse bundle {label!r}")
+    if wrapped:
+        coeffs += [0] * (len(surface.rays) - len(coeffs))
     return surface.line_bundle(coeffs)
 
 

@@ -36,6 +36,7 @@ from operator import add, sub
 from .characters import (
     DegenerateSpecializationError,
     LocalizationError,
+    TrivialWeightError,
     block_character,
     chern_poly,
     euler_factors,
@@ -182,29 +183,26 @@ def _nested_sums(surface, nums, dens, grid, spec):
 @lru_cache(maxsize=None)
 def _block_power_sums(u, v, mu_a, mu_b, shift, spec, cap):
     """Power sums and dead weights of one chart's block, twisted by the
-    bundle weight `shift` (None: untwisted)."""
-    block = _global_block(u, v, mu_a, mu_b)
-    return power_sums(block if shift is None else block.shift(shift), spec, cap)
+    bundle weight `shift`."""
+    return power_sums(_global_block(u, v, mu_a, mu_b).shift(shift), spec, cap)
 
 
 @lru_cache(maxsize=None)
-def _block_chern(u, v, mu_a, mu_b, shift, spec, cap):
-    """Chern coefficients up to cap of one chart's block, twisted like
-    `_block_power_sums`, with the index of the last nonzero one: (coeffs,
-    degree).  A chart block is a genuine character, so no other block of a
-    sum can cancel a weight that the specialization kills in it: such a
-    weight raises."""
-    p, dead = _block_power_sums(u, v, mu_a, mu_b, shift, spec, cap)
-    if dead:
-        raise DegenerateSpecializationError("degenerate specialization")
-    coeffs = tuple(newton_chern(p))
-    degree = max(k for k, c in enumerate(coeffs) if c)
-    return coeffs, degree
+def _block_top(u, v, mu_a, mu_b, shift, spec):
+    """Top Chern class of one chart's block, twisted by the bundle weight
+    `shift` (None: untwisted).  The block is a genuine character, so this is
+    the product of its weights, 0 at a trivial weight, and a weight that the
+    specialization kills raises (`euler_factors`): nothing can cancel it."""
+    block = _global_block(u, v, mu_a, mu_b)
+    try:
+        return euler_factors(block if shift is None else block.shift(shift), spec)[0]
+    except TrivialWeightError:
+        return 0
 
 
 def _fiber_power_sums(charts, twists, tup_a, tup_b, spec, cap):
-    """Power sums of the sum over the charts and the (weights-or-None, sign)
-    twists of the fiber blocks from the ideals tup_a to tup_b.
+    """Power sums of the sum over the charts and the (weights, sign) twists
+    of the fiber blocks from the ideals tup_a to tup_b.
 
     A block of a negative twist can cancel a weight of a positive one, so
     the killed weights net over the whole sum: as in the summed character,
@@ -215,8 +213,7 @@ def _fiber_power_sums(charts, twists, tup_a, tup_b, spec, cap):
     net = {}
     for u, v, i in charts:
         for weights, sign in twists:
-            p, dead = _block_power_sums(u, v, tup_a[i], tup_b[i],
-                                        weights and weights[i], spec, cap)
+            p, dead = _block_power_sums(u, v, tup_a[i], tup_b[i], weights[i], spec, cap)
             total = list(map(add if sign > 0 else sub, total, p))
             for weight, mult in dead.items():
                 net[weight] = net.get(weight, 0) + sign * mult
@@ -225,24 +222,13 @@ def _fiber_power_sums(charts, twists, tup_a, tup_b, spec, cap):
     return total
 
 
-def _top_chern(charts, weights, tup_a, tup_b, spec, top):
-    """The degree-`top` Chern class of the sum over the charts of the fiber
-    blocks from the ideals tup_a to tup_b, twisted by `weights` (None:
-    untwisted).
-
-    It is the degree-`top` coefficient of the product of the chart Chern
-    polynomials.  Below the sum `reach` of their degrees it vanishes, and
-    at `reach` it is the product of their last coefficients; only a chart
-    with a nonterminating series (a virtual block) needs the product.
-    """
-    entries = [_block_chern(u, v, tup_a[i], tup_b[i], weights and weights[i], spec, top)
-               for u, v, i in charts]
-    reach = sum(degree for _, degree in entries)
-    if reach < top:
-        return 0
-    if reach > top:
-        return prod(GradedPoly(top, coeffs) for coeffs, _ in entries).coeffs[top]
-    return prod(coeffs[degree] for coeffs, degree in entries)
+def _top_chern(charts, weights, tup_a, tup_b, spec):
+    """Top Chern class of the fiber blocks from the ideals tup_a to tup_b,
+    twisted by `weights` (None: untwisted), summed over the charts: the
+    product of every chart's `_block_top`, so that a weight killed in one
+    chart raises even where another chart's factor is 0."""
+    return prod([_block_top(u, v, tup_a[i], tup_b[i], weights and weights[i], spec)
+                 for u, v, i in charts])
 
 
 def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
@@ -254,17 +240,15 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     The grading degree left for extraction is (2 - len(tops)) * (n1 + n2).
 
     At a fixed specialization power sums add and Chern and Euler classes
-    multiply over the charts.  So every point reads each top factor off
-    the degrees of cached chart Chern polynomials (`_top_chern`), and
-    where all of them are nonzero it adds up cached chart power sums for
-    the integrand and multiplies cached chart Euler factors; the sum runs
-    over one integer denominator, with one Fraction per coefficient at
-    the end.  A chart Euler factor or a chart top factor raises at a killed
-    weight; only the integrand, whose dens blocks can cancel nums blocks,
-    nets killed weights over its blocks (`_fiber_power_sums`).
+    multiply over the charts.  So every point multiplies cached chart
+    Euler numbers for each top factor (`_top_chern`), and where all of them
+    are nonzero it adds up cached chart power sums for the integrand and
+    multiplies cached chart tangent Euler factors, over one integer
+    denominator and one Fraction per coefficient at the end.  Only the
+    integrand, whose dens blocks can cancel nums blocks, nets the weights
+    that the specialization kills (`_fiber_power_sums`); the others raise.
     """
     cap = max((2 - len(tops)) * (n1 + n2), 0)
-    top_degree = n1 + n2
     charts = [(c.u, c.v, c.index) for c in surface.charts]
     top_twists = [(None if b is None else b.weights, swap) for b, swap in tops]
     integrand = [(m.weights, 1) for m in nums] + [(m.weights, -1) for m in dens]
@@ -274,7 +258,7 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
         scalar = 1
         for weights, swap in top_twists:
             source, target = (tup2, tup1) if swap else (tup1, tup2)
-            scalar *= _top_chern(charts, weights, source, target, spec, top_degree)
+            scalar *= _top_chern(charts, weights, source, target, spec)
             if not scalar:
                 break
         if not scalar:

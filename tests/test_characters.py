@@ -33,11 +33,12 @@ from nesthilb.series import GradedPoly, linear_power
 
 
 def test_block_rank():
-    """Every block V(mu_a, mu_b) has only positive multiplicities and rank
-    |mu_a| + |mu_b|: the product route's top factor rests on this, since a
-    chart's Chern series then stops at the number of its live weights."""
-    for na in range(5):
-        for nb in range(5):
+    """Every block V(mu_a, mu_b) with |mu_a| + |mu_b| <= 10 has only positive
+    multiplicities and rank |mu_a| + |mu_b|: the product route's top factor
+    rests on this, since a chart block's top Chern class is then the product
+    of its weights."""
+    for na in range(11):
+        for nb in range(11 - na):
             for mu in enumerate_partitions(na):
                 for nu in enumerate_partitions(nb):
                     block = block_character(mu, nu)
@@ -117,6 +118,16 @@ def test_euler_class_rejects_trivial_weight():
 def test_euler_class_flags_degenerate_draw():
     with pytest.raises(DegenerateSpecializationError):
         euler_class(LaurentPoly({(1, -1): 1}), (Fraction(2), Fraction(2)))
+
+
+def test_euler_factors_report_a_killed_weight_before_a_trivial_one():
+    """A killed nontrivial weight is a bad draw even beside a trivial weight,
+    so the draw is redrawn rather than read as a vanishing class."""
+    spec = (2, 2)
+    with pytest.raises(DegenerateSpecializationError):
+        euler_factors(LaurentPoly({(0, 0): 1, (1, -1): 1, (1, 0): 1}), spec)
+    with pytest.raises(TrivialWeightError):
+        euler_factors(LaurentPoly({(0, 0): 1, (1, 0): 1}), spec)
 
 
 def test_chern_poly_trivial_weight_kills_top_degree():

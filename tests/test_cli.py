@@ -201,10 +201,13 @@ PLANE_RAYS = "rays: [[1,0],[0,1],[-1,-1]]\n"
     PLANE_RAYS + "bundles: 0\n",
     PLANE_RAYS + "bundles: false\n",
     PLANE_RAYS + "bundles:\n",
+    PLANE_RAYS + "bundles:\n  K: [0, 0, 0]\n",
+    PLANE_RAYS + "bundles:\n  O(1): [0, 0, 0]\n",
+    PLANE_RAYS + "bundles:\n  1,0,0: [0, 0, 0]\n",
 ], ids=["wound-twice", "yaml-syntax", "rays-scalar", "bundles-list", "ray-triple",
         "ray-float", "bundle-float", "bundle-bool", "duplicate-label", "name-list",
         "label-int", "unknown-key", "bundles-empty-list", "bundles-zero", "bundles-false",
-        "bundles-null"])
+        "bundles-null", "label-K", "label-O(1)", "label-coefficients"])
 def test_twice_wound_config_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "surface.yaml"
     path.write_text(config)
@@ -214,6 +217,18 @@ def test_twice_wound_config_is_usage_error(tmp_path, capsys, config):
     assert (code, text) == (cli.EXIT_USAGE, "")
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_config_label_that_shadows_a_builtin_bundle_is_named(tmp_path, capsys):
+    """A config label K would shadow the canonical bundle, so the config is
+    rejected even when --bundle asks for another label."""
+    path = tmp_path / "surface.yaml"
+    path.write_text(PLANE_RAYS + "bundles:\n  h: [1, 0, 0]\n  K: [0, 0, 0]\n")
+    code, text = run_cli(
+        ["integrate", "--surface", str(path), "--bundle", "h", "--n1", "1", "--n2", "0"]
+    )
+    assert (code, text) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: config bundle label 'K' would shadow a built-in bundle\n"
 
 
 def test_undecodable_config_is_usage_error(tmp_path, capsys):

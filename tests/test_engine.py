@@ -317,54 +317,18 @@ def _top_factor_cases(surface):
 
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
 def test_top_factor_matches_newton(name):
-    """The degree-bounded product of the chart Chern polynomials gives the
-    top Chern class of the summed power sums, or raises the same error."""
+    """The product of the chart Euler numbers gives the top Chern class of
+    the summed power sums, or raises the same error."""
     surface = builtin_surface(name)
     charts = [(c.u, c.v, c.index) for c in surface.charts]
     outcomes = set()
     for weights, tup_a, tup_b, spec, top in _top_factor_cases(surface):
         blocks = _chart_blocks(surface, weights, tup_a, tup_b)
         expected = _outcome(lambda: _newton_top(blocks, spec, top))
-        got = _outcome(lambda: engine._top_chern(charts, weights, tup_a, tup_b, spec, top))
+        got = _outcome(lambda: engine._top_chern(charts, weights, tup_a, tup_b, spec))
         assert got == expected, (weights, tup_a, tup_b, spec)
         outcomes.add(expected if isinstance(expected, type) else bool(expected))
     assert outcomes == {True, False, DegenerateSpecializationError}
-
-
-@pytest.mark.parametrize("name", ["p2", "p1xp1"])
-def test_top_factor_of_a_virtual_block_takes_the_product(name, monkeypatch):
-    """A virtual block on the first chart, with a weight of multiplicity -1,
-    has a Chern series that does not stop, so the chart degrees reach past
-    the top degree and the top factor needs the truncated product."""
-    surface = builtin_surface(name)
-    charts = [(c.u, c.v, c.index) for c in surface.charts]
-    first = surface.charts[0]
-    extra = LaurentPoly.monomial(7, 5)  # 7 x + 5 y is nonzero at every spec below
-    block_power_sums = engine._block_power_sums
-
-    def virtual_power_sums(u, v, mu_a, mu_b, shift, spec, cap):
-        p, dead = block_power_sums(u, v, mu_a, mu_b, shift, spec, cap)
-        if (u, v) == (first.u, first.v):
-            p = [a - b for a, b in zip(p, power_sums(extra, spec, cap)[0])]
-        return p, dead
-
-    monkeypatch.setattr(engine, "_block_power_sums", virtual_power_sums)
-    monkeypatch.setattr(engine, "_block_chern", engine._block_chern.__wrapped__)
-    beyond = set()
-    for weights, tup_a, tup_b, spec, top in _top_factor_cases(surface):
-        blocks = _chart_blocks(surface, weights, tup_a, tup_b)
-        assert extra.coeff(7, 5) > blocks[0].coeff(7, 5)
-        blocks[0] = blocks[0] - extra
-        expected = _outcome(lambda: _newton_top(blocks, spec, top))
-        got = _outcome(lambda: engine._top_chern(charts, weights, tup_a, tup_b, spec, top))
-        assert got == expected, (weights, tup_a, tup_b, spec)
-        if isinstance(expected, type):
-            continue  # a killed weight: the chart Chern polynomials raise
-        reach = sum(engine._block_chern(u, v, tup_a[i], tup_b[i], weights and weights[i],
-                                        spec, top)[1] for u, v, i in charts)
-        if reach > top:
-            beyond.add(bool(expected))
-    assert beyond == {True, False}
 
 
 def test_product_fixed_points_include_non_nested():
