@@ -197,8 +197,9 @@ def build_parser():
     p_int.add_argument("--n1", type=int, required=True)
     p_int.add_argument("--n2", type=int, required=True)
     p_int.add_argument("--route", choices=("nested", "product", "both"), default="nested")
-    p_int.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the fixed-point sum")
+    p_int.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="at most N worker processes for the product route's "
+                            "fixed-point sum; small sums run serially")
     p_int.add_argument("--format", choices=("json", "csv"), default="json")
     common(p_int)
 

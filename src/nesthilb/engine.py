@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from math import gcd, lcm, prod
-from operator import add, sub
+from operator import add, getitem, sub
 
 from .characters import (
     DegenerateSpecializationError,
@@ -50,6 +50,12 @@ from .series import GradedPoly, Series2, product_formula
 from .toric import builtin_surface, check_bundle, chern_numbers
 
 MAX_REDRAWS = 8
+
+# Product fixed points each worker must get for the pool to pay.  On a
+# 2-core VM, two workers saved no wall time over one process up to 22 960
+# points (11 480 each), at 1.5 times the CPU, and won from 36 120 points on;
+# the README has the runs.
+MIN_POINTS_PER_WORKER = 12000
 
 
 class SpecializationDisagreement(LocalizationError):
@@ -180,55 +186,57 @@ def _nested_sums(surface, nums, dens, grid, spec):
     return sums
 
 
-@lru_cache(maxsize=None)
-def _block_power_sums(u, v, mu_a, mu_b, shift, spec, cap):
-    """Power sums and dead weights of one chart's block, twisted by the
-    bundle weight `shift`."""
-    return power_sums(_global_block(u, v, mu_a, mu_b).shift(shift), spec, cap)
+class _PairTable(dict):
+    """One chart's entries {(mu_a, mu_b): entry(mu_a, mu_b)}, each computed at
+    its first read, so that a pair that no point reaches is never evaluated.
+    An entry that raises is not stored, so every read of it raises again."""
+
+    def __init__(self, entry):
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, key):
+        value = self[key] = self.entry(*key)
+        return value
 
 
 @lru_cache(maxsize=None)
-def _block_top(u, v, mu_a, mu_b, shift, spec):
-    """Top Chern class of one chart's block, twisted by the bundle weight
-    `shift` (None: untwisted).  The block is a genuine character, so this is
+def _top_table(u, v, shift, spec):
+    """Top Chern classes of one chart's blocks, twisted by the bundle weight
+    `shift` (None: untwisted).  A block is a genuine character, so each is
     the product of its weights, 0 at a trivial weight, and a weight that the
     specialization kills raises (`euler_factors`): nothing can cancel it."""
-    block = _global_block(u, v, mu_a, mu_b)
-    try:
-        return euler_factors(block if shift is None else block.shift(shift), spec)[0]
-    except TrivialWeightError:
-        return 0
+
+    def top(mu_a, mu_b):
+        block = _global_block(u, v, mu_a, mu_b)
+        try:
+            return euler_factors(block if shift is None else block.shift(shift), spec)[0]
+        except TrivialWeightError:
+            return 0
+
+    return _PairTable(top)
 
 
-def _fiber_power_sums(charts, twists, tup_a, tup_b, spec, cap):
-    """Power sums of the sum over the charts and the (weights, sign) twists
-    of the fiber blocks from the ideals tup_a to tup_b.
+@lru_cache(maxsize=None)
+def _tangent_table(u, v, spec):
+    """Integer Euler factors (num, den) of one chart's tangent to the product
+    of Hilbert schemes at (mu_1, mu_2): the tangent of one Hilbert scheme at
+    mu is the block V(mu, mu)."""
 
-    A block of a negative twist can cancel a weight of a positive one, so
-    the killed weights net over the whole sum: as in the summed character,
-    only a killed weight of nonzero net multiplicity makes the draw
-    degenerate.
-    """
-    total = [0] * (cap + 1)
-    net = {}
-    for u, v, i in charts:
-        for weights, sign in twists:
-            p, dead = _block_power_sums(u, v, tup_a[i], tup_b[i], weights[i], spec, cap)
-            total = list(map(add if sign > 0 else sub, total, p))
-            for weight, mult in dead.items():
-                net[weight] = net.get(weight, 0) + sign * mult
-    if any(net.values()):
-        raise DegenerateSpecializationError("degenerate specialization")
-    return total
+    def tangent(mu1, mu2):
+        num1, den1 = euler_factors(_global_block(u, v, mu1, mu1), spec)
+        num2, den2 = euler_factors(_global_block(u, v, mu2, mu2), spec)
+        return num1 * num2, den1 * den2
+
+    return _PairTable(tangent)
 
 
-def _top_chern(charts, weights, tup_a, tup_b, spec):
-    """Top Chern class of the fiber blocks from the ideals tup_a to tup_b,
-    twisted by `weights` (None: untwisted), summed over the charts: the
-    product of every chart's `_block_top`, so that a weight killed in one
-    chart raises even where another chart's factor is 0."""
-    return prod([_block_top(u, v, tup_a[i], tup_b[i], weights and weights[i], spec)
-                 for u, v, i in charts])
+@lru_cache(maxsize=None)
+def _power_sum_table(u, v, shift, spec, cap):
+    """Power sums and dead weights (`power_sums`) of one chart's blocks,
+    twisted by the bundle weight `shift`."""
+    return _PairTable(
+        lambda mu_a, mu_b: power_sums(_global_block(u, v, mu_a, mu_b).shift(shift), spec, cap))
 
 
 def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
@@ -240,36 +248,56 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     The grading degree left for extraction is (2 - len(tops)) * (n1 + n2).
 
     At a fixed specialization power sums add and Chern and Euler classes
-    multiply over the charts.  So every point multiplies cached chart
-    Euler numbers for each top factor (`_top_chern`), and where all of them
-    are nonzero it adds up cached chart power sums for the integrand and
-    multiplies cached chart tangent Euler factors, over one integer
+    multiply over the charts, so every point reads its chart factors from
+    one pair table per chart and twist.  It multiplies the chart Euler
+    numbers of each top factor, reading every chart, so that a weight killed
+    in one chart raises even where another chart's factor is 0.  Where all
+    top factors are nonzero it multiplies the chart tangent Euler factors
+    and adds up the chart power sums of the integrand, over one integer
     denominator and one Fraction per coefficient at the end.  Only the
     integrand, whose dens blocks can cancel nums blocks, nets the weights
-    that the specialization kills (`_fiber_power_sums`); the others raise.
+    that the specialization kills over the charts; the others raise.
     """
     cap = max((2 - len(tops)) * (n1 + n2), 0)
-    charts = [(c.u, c.v, c.index) for c in surface.charts]
-    top_twists = [(None if b is None else b.weights, swap) for b, swap in tops]
-    integrand = [(m.weights, 1) for m in nums] + [(m.weights, -1) for m in dens]
+    charts = surface.charts
+    top_tables = [
+        (swap, [_top_table(c.u, c.v, None if b is None else b.weights[c.index], spec)
+                for c in charts])
+        for b, swap in tops
+    ]
+    tangent_tables = [_tangent_table(c.u, c.v, spec) for c in charts]
+    integrand_tables = [
+        (sign, [_power_sum_table(c.u, c.v, m.weights[c.index], spec, cap) for c in charts])
+        for bundles, sign in ((nums, 1), (dens, -1)) for m in bundles
+    ]
     acc = [0] * (cap + 1)
     denom = 1
     for tup1, tup2 in points:
         scalar = 1
-        for weights, swap in top_twists:
-            source, target = (tup2, tup1) if swap else (tup1, tup2)
-            scalar *= _top_chern(charts, weights, source, target, spec)
+        for swap, tables in top_tables:
+            keys = zip(tup2, tup1) if swap else zip(tup1, tup2)
+            scalar *= prod(list(map(getitem, tables, keys)))
             if not scalar:
                 break
         if not scalar:
             continue
+        pairs = list(zip(tup1, tup2))
         num = den = 1
-        for u, v, i in charts:
-            for mu in (tup1[i], tup2[i]):
-                n, d = _tangent_euler(u, v, mu, mu, spec)
-                num *= n
-                den *= d
-        e = newton_chern(_fiber_power_sums(charts, integrand, tup1, tup2, spec, cap))
+        for table, key in zip(tangent_tables, pairs):
+            n, d = table[key]
+            num *= n
+            den *= d
+        p = [0] * (cap + 1)
+        net = {}
+        for sign, tables in integrand_tables:
+            for table, key in zip(tables, pairs):
+                chart_p, dead = table[key]
+                p = list(map(add if sign > 0 else sub, p, chart_p))
+                for weight, mult in dead.items():
+                    net[weight] = net.get(weight, 0) + sign * mult
+        if any(net.values()):
+            raise DegenerateSpecializationError("degenerate specialization")
+        e = newton_chern(p)
         # add scalar * den / num * e to acc / denom
         if num < 0:
             num, den = -num, -den
@@ -301,13 +329,21 @@ atexit.register(_pool.cache_clear)
 
 def _parallel_sum(route_sum, points, jobs):
     """Apply a route sum with everything but `points` bound to all fixed
-    points, or to chunks of them in at most `jobs` worker processes.
+    points in this process, or to chunks of them in at most `jobs` worker
+    processes.
 
-    The pool starts all its workers at first use, so there are never more
-    of them than CPUs.  They are forked once per process and then serve
-    every later sum, keeping their character caches warm.
+    Each worker gets at least MIN_POINTS_PER_WORKER points, below which it
+    cannot pay for the pool, and there are never more workers than CPUs
+    this process may run on (its affinity mask), since the pool starts all
+    of them at first use.  So a sum too small for two workers runs here and
+    loads no pool module.  The workers are forked once per process and then
+    serve every later sum, keeping their chart tables warm.
     """
-    workers = min(jobs, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, cpus, len(points) // MIN_POINTS_PER_WORKER)
     if workers <= 1:
         return route_sum(points)
     parts = list(_pool(workers).map(route_sum, _chunked(points, workers * 4)))
@@ -374,7 +410,8 @@ def _localize(surface, route, nums, dens, grid, seed, tops=_NESTED_LOCUS, jobs=1
     The integrand is prod c(twist by nums) / prod c(twist by dens).  The
     product route also multiplies by the top Chern classes in `tops`; its
     default cuts the product of Hilbert schemes down to the nested locus.
-    Only the product route sums in `jobs` worker processes.
+    Only the product route reads `jobs`: at most that many worker processes
+    share its sum (`_parallel_sum`).
     """
     for bundle in (*nums, *dens, *(b for b, _ in tops if b is not None)):
         check_bundle(surface, bundle)
@@ -427,7 +464,8 @@ def multi_bundle_invariant(surface, nums, dens, n1, n2, *, seed=0, route="nested
 
 def invariant_record(surface, bundle, n1, n2, route="nested", seed=0, jobs=1):
     """Compute one invariant with the two specializations that produced it;
-    the product route sum runs in `jobs` worker processes."""
+    the product route sum runs in at most `jobs` worker processes, and in
+    this one where it is too small to pay for them."""
     values, specs = _localize(surface, route, [bundle], [], [(n1, n2)], seed, jobs=jobs)
     return InvariantRecord(n1, n2, route, values[n1, n2], specs)
 

@@ -351,6 +351,17 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["records"][0]["value"]["num"] == "9"
 
 
+def _usable_cpus(monkeypatch, affinity, count):
+    """Let this process run on `affinity` CPUs (None: a platform without an
+    affinity mask) of a machine with `count`."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                            raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
 def test_jobs_reuse_one_worker_pool(monkeypatch):
     built = []
 
@@ -360,7 +371,8 @@ def test_jobs_reuse_one_worker_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "MIN_POINTS_PER_WORKER", 1)
+    _usable_cpus(monkeypatch, 2, 2)
     engine._pool.cache_clear()
     try:
         code, _ = run_cli(["integrate", "--surface", "p2", "--bundle", "K",
@@ -373,9 +385,15 @@ def test_jobs_reuse_one_worker_pool(monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("cpus", [3, None])
-def test_jobs_beyond_the_cpus_start_one_worker_per_cpu(monkeypatch, cpus):
-    """A pool starts every worker at first use, so --jobs is capped by the CPU count."""
+@pytest.mark.parametrize("affinity, count, workers", [
+    pytest.param(3, 8, [3], id="3"),
+    pytest.param(1, 8, [], id="pinned-to-one"),
+    pytest.param(None, 3, [3], id="no-affinity"),
+    pytest.param(None, None, [], id="None"),
+])
+def test_jobs_beyond_the_cpus_start_one_worker_per_cpu(monkeypatch, affinity, count, workers):
+    """A pool starts every worker at first use, so --jobs is capped by the
+    CPUs this process may run on."""
     built, chunks = [], []
 
     class InProcessPool:  # records the pool's size and starts no process
@@ -390,14 +408,34 @@ def test_jobs_beyond_the_cpus_start_one_worker_per_cpu(monkeypatch, cpus):
             "--route", "product", "--jobs"]
     serial = run_cli(argv + ["1"])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(engine, "MIN_POINTS_PER_WORKER", 1)
+    _usable_cpus(monkeypatch, affinity, count)
     engine._pool.cache_clear()
     try:
         assert run_cli(argv + ["100000"]) == serial
     finally:
         engine._pool.cache_clear()
-    assert built == ([3] if cpus else [])
-    assert bool(chunks) == bool(cpus) and all(n <= 3 * 4 for n in chunks)
+    assert built == workers
+    assert bool(chunks) == bool(workers) and all(n <= 3 * 4 for n in chunks)
+
+
+def test_jobs_below_the_gate_run_serially():
+    """A sum too small to give each worker MIN_POINTS_PER_WORKER points runs
+    in the parent: --jobs 2 loads no pool module and prints the bytes of
+    --jobs 1."""
+    code = ("import sys, nesthilb.cli; "
+            "nesthilb.cli.main(['integrate', '--surface', 'p2', '--bundle', 'K', '--n1', '3', "
+            "'--n2', '1', '--route', 'both', '--jobs', sys.argv[1]]); "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules], file=sys.stderr)")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run([sys.executable, "-c", code, jobs], capture_output=True, env=env)
+            for jobs in ("1", "2")]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[1].stderr
+    assert runs[1].stderr.strip() == b"[]"
+    assert runs[1].stdout == runs[0].stdout and runs[0].stdout
 
 
 def test_cli_import_loads_no_process_pool():

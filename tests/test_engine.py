@@ -1,6 +1,7 @@
 """Localization engine: fixed points, dual routes, series, universality."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -250,9 +251,10 @@ def test_local_keys_are_the_chart_components(name):
 
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
 def test_product_kernel_matches_assembled_characters(name):
-    """At every product fixed point of (2, 1) and (3, 1), the chart-local
-    power sums and Euler factors give the summand of the global characters,
-    or raise the same error, also at specializations that kill weights."""
+    """At every product fixed point of (2, 1) and (3, 1), the power sums and
+    Euler factors read from the pair tables of the charts give the summand
+    of the global characters, or raise the same error, also at
+    specializations that kill weights."""
     surface = builtin_surface(name)
     k = len(surface.charts)
     h = surface.line_bundle([1] + [0] * (k - 1))
@@ -317,15 +319,17 @@ def _top_factor_cases(surface):
 
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
 def test_top_factor_matches_newton(name):
-    """The product of the chart Euler numbers gives the top Chern class of
-    the summed power sums, or raises the same error."""
+    """The product of the chart Euler numbers read from the top-factor pair
+    tables, one per chart, gives the top Chern class of the summed power
+    sums, or raises the same error."""
     surface = builtin_surface(name)
-    charts = [(c.u, c.v, c.index) for c in surface.charts]
     outcomes = set()
     for weights, tup_a, tup_b, spec, top in _top_factor_cases(surface):
         blocks = _chart_blocks(surface, weights, tup_a, tup_b)
         expected = _outcome(lambda: _newton_top(blocks, spec, top))
-        got = _outcome(lambda: engine._top_chern(charts, weights, tup_a, tup_b, spec))
+        tables = [engine._top_table(c.u, c.v, None if weights is None else weights[c.index], spec)
+                  for c in surface.charts]
+        got = _outcome(lambda: prod([table[key] for table, key in zip(tables, zip(tup_a, tup_b))]))
         assert got == expected, (weights, tup_a, tup_b, spec)
         outcomes.add(expected if isinstance(expected, type) else bool(expected))
     assert outcomes == {True, False, DegenerateSpecializationError}
@@ -478,7 +482,8 @@ def test_universality_fit_reproduces_generators():
 
 
 @pytest.mark.parametrize("route", ["nested", "product"])
-def test_parallel_jobs_match_serial(route):
+def test_parallel_jobs_match_serial(route, monkeypatch):
+    monkeypatch.setattr(engine, "MIN_POINTS_PER_WORKER", 1)
     records = [
         engine.invariant_record(P2, P2.canonical_bundle(), 2, 1, route=route, jobs=jobs)
         for jobs in (1, 2)
