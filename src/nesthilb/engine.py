@@ -52,10 +52,12 @@ from .toric import builtin_surface, check_bundle, chern_numbers
 MAX_REDRAWS = 8
 
 # Product fixed points each worker must get for the pool to pay.  On a
-# 2-core VM, two workers saved no wall time over one process up to 22 960
-# points (11 480 each), at 1.5 times the CPU, and won from 36 120 points on;
-# the README has the runs.
-MIN_POINTS_PER_WORKER = 12000
+# 2-core VM, two workers lost to one process at (5, 4) on p1xp1 (26 460
+# points) and won at (9, 3) on p2 (32 538 points), so the gate sits
+# between.  Points are a coarse measure of the work, which varies from 2 to
+# 26 us per point with the share of points that reach the integrand; the
+# README has the runs.
+MIN_POINTS_PER_WORKER = 15000
 
 
 class SpecializationDisagreement(LocalizationError):
@@ -220,12 +222,12 @@ def _top_table(u, v, shift, spec):
 @lru_cache(maxsize=None)
 def _tangent_table(u, v, spec):
     """Integer Euler factors (num, den) of one chart's tangent to the product
-    of Hilbert schemes at (mu_1, mu_2): the tangent of one Hilbert scheme at
-    mu is the block V(mu, mu)."""
+    of Hilbert schemes at (mu_1, mu_2): the product of the tangents of the
+    Hilbert schemes at mu_1 and at mu_2, each the nested pair (mu, mu)."""
 
     def tangent(mu1, mu2):
-        num1, den1 = euler_factors(_global_block(u, v, mu1, mu1), spec)
-        num2, den2 = euler_factors(_global_block(u, v, mu2, mu2), spec)
+        num1, den1 = _tangent_euler(u, v, mu1, mu1, spec)
+        num2, den2 = _tangent_euler(u, v, mu2, mu2, spec)
         return num1 * num2, den1 * den2
 
     return _PairTable(tangent)
@@ -332,8 +334,8 @@ def _parallel_sum(route_sum, points, jobs):
     points in this process, or to chunks of them in at most `jobs` worker
     processes.
 
-    Each worker gets at least MIN_POINTS_PER_WORKER points, below which it
-    cannot pay for the pool, and there are never more workers than CPUs
+    Each worker gets at least MIN_POINTS_PER_WORKER points, below which the
+    pool mostly does not pay, and there are never more workers than CPUs
     this process may run on (its affinity mask), since the pool starts all
     of them at first use.  So a sum too small for two workers runs here and
     loads no pool module.  The workers are forked once per process and then
