@@ -178,11 +178,34 @@ def chern_poly(c, spec, cap):
 
     Returns the GradedPoly whose degree-k coefficient is the specialization
     of the k-th Chern class of the product of (1 + g (a x + b y))^mult over
-    all weights, at an integer specialization (x, y): Newton's identities
-    on the power sums.  A nontrivial weight that the specialization kills
-    raises DegenerateSpecializationError.
+    all weights, truncated at cap, at an integer specialization (x, y).  Each
+    factor 1 + w g multiplies in place from the top degree down; a negative
+    mult multiplies by the integer series of 1 / (1 + w g) instead.  A
+    trivial weight adds nothing.  A nontrivial weight that the
+    specialization kills raises DegenerateSpecializationError, and a
+    non-integer specialization raises LocalizationError.
     """
-    p, dead = power_sums(c, spec, cap)
-    if dead:
-        raise DegenerateSpecializationError("degenerate specialization")
-    return GradedPoly(cap, newton_chern(p))
+    x, y = spec
+    if x.denominator != 1 or y.denominator != 1:
+        raise LocalizationError(f"specialization {x}, {y} is not integral")
+    x, y = int(x), int(y)
+    e = [1] + [0] * cap
+    top = 0  # e[k] = 0 for k > top
+    for (a, b), mult in c.terms.items():
+        w = a * x + b * y
+        if not w:
+            if (a, b) != TRIVIAL:
+                raise DegenerateSpecializationError("degenerate specialization")
+            continue
+        if mult > 0:
+            for _ in range(mult):
+                if top < cap:
+                    top += 1
+                for k in range(top, 0, -1):
+                    e[k] += w * e[k - 1]
+        else:
+            top = cap
+            for _ in range(-mult):
+                for k in range(1, cap + 1):
+                    e[k] -= w * e[k - 1]
+    return GradedPoly(cap, e)

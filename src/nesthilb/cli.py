@@ -10,7 +10,6 @@ strings, never floats, and a fixed seed yields byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -97,6 +96,8 @@ def _write(args, payload, header, rows, out):
     if args.format == "json":
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
+    import csv
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([str(c).lower() if isinstance(c, bool) else c for c in row] for row in rows)

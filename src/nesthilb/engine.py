@@ -27,7 +27,7 @@ from __future__ import annotations
 import atexit
 import os
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from math import gcd, lcm, prod
@@ -140,19 +140,34 @@ def _chart_table(chart, nums, dens, keys, spec, cap):
     D_c), where entry / D_c is the sum of c(integrand) / e(tangent) over the
     nested pairs of sizes (a, b) on this chart.
 
+    Like `_tangent_euler` it reads each block at the chart's own exponents:
+    a bundle of weight w twists it by the local shift (<w, r1>, <w, r2>) for
+    the chart's rays r1, r2, the dual basis of (u, v).  The multiplicities of
+    the integrand are netted in one dict per pair, nums counted + and dens -,
+    so a dens block cancels the weights that it shares with a nums block
+    before `chern_poly` reads them at (u.spec, v.spec).
+
     With e = num / den, D_c = lcm(|num|) over the chart's pairs, and each
     pair adds its integer Chern coefficients times den * (D_c // num)."""
+    (u, v), (r1, r2) = (chart.u, chart.v), chart.rays
+    x, y = spec
+    local = (u[0] * x + u[1] * y, v[0] * x + v[1] * y)
+    twists = [
+        (w[0] * r1[0] + w[1] * r1[1], w[0] * r2[0] + w[1] * r2[1], sign)
+        for bundles, sign in ((nums, 1), (dens, -1))
+        for w in (m.weights[chart.index] for m in bundles)
+    ]
     terms = []
     for key in keys:
         for pair in enumerate_nested_pairs(*key):
-            num, den = _tangent_euler(chart.u, chart.v, pair.outer, pair.inner, spec)
-            block = _global_block(chart.u, chart.v, pair.outer, pair.inner)
-            integrand = LaurentPoly.zero()
-            for m in nums:
-                integrand = integrand + block.shift(m.weights[chart.index])
-            for m in dens:
-                integrand = integrand - block.shift(m.weights[chart.index])
-            terms.append((key, chern_poly(integrand, spec, cap).coeffs, num, den))
+            num, den = _tangent_euler(u, v, pair.outer, pair.inner, spec)
+            block = block_character(pair.outer, pair.inner).terms.items()
+            net = {}
+            for s1, s2, sign in twists:
+                for (a, b), mult in block:
+                    weight = (a + s1, b + s2)
+                    net[weight] = net.get(weight, 0) + sign * mult
+            terms.append((key, chern_poly(LaurentPoly(net), local, cap).coeffs, num, den))
     denom = lcm(*(abs(num) for _, _, num, _ in terms))
     table = {key: [0] * (cap + 1) for key in keys}
     for key, coeffs, num, den in terms:
@@ -439,13 +454,7 @@ def _localize(surface, route, nums, dens, grid, seed, tops=_NESTED_LOCUS, jobs=1
 # public invariants
 
 
-@dataclass
-class InvariantRecord:
-    n1: int
-    n2: int
-    route: str
-    value: Fraction
-    specializations: list = field(default_factory=list)
+InvariantRecord = namedtuple("InvariantRecord", "n1 n2 route value specializations")
 
 
 def multi_bundle_invariant(surface, nums, dens, n1, n2, *, seed=0, route="nested",

@@ -9,21 +9,21 @@ self-intersections of the boundary divisors give the intersection form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class ToricError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Chart:
-    """One torus fixed point: local coordinates have weights u and v."""
+class Chart(namedtuple("Chart", "index rays u v")):
+    """One torus fixed point: local coordinates have weights u and v.
 
-    index: int
-    rays: tuple  # the two rays spanning the cone, in cyclic order
-    u: tuple  # dual basis vector pairing to 1 with rays[0]
-    v: tuple  # dual basis vector pairing to 1 with rays[1]
+    rays holds the two rays spanning the cone, in cyclic order; u is the dual
+    basis vector pairing to 1 with rays[0], and v with rays[1].
+    """
+
+    __slots__ = ()
 
 
 def _det(r1, r2):
@@ -125,12 +125,7 @@ class EquivariantLineBundle:
         return f"EquivariantLineBundle({self.surface.name!r}, {self.coeffs})"
 
 
-@dataclass(frozen=True)
-class ChernNumbers:
-    M_squared: int
-    M_dot_K: int
-    K_squared: int
-    c2: int
+ChernNumbers = namedtuple("ChernNumbers", "M_squared M_dot_K K_squared c2")
 
 
 def builtin_surface(name):

@@ -8,7 +8,7 @@ values) so a red run is actionable on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import engine, fock
 from .characters import (
@@ -21,11 +21,7 @@ from .partitions import EMPTY, NestedPair, Partition, enumerate_nested_pairs
 from .toric import builtin_surface, chern_numbers
 
 
-@dataclass
-class Check:
-    label: str
-    passed: bool
-    detail: str = ""
+Check = namedtuple("Check", "label passed detail", defaults=("",))
 
 
 def _surface_bundles(surface):

@@ -187,11 +187,42 @@ def test_chern_poly_matches_binomial_product(c, x, y, cap):
 
 def test_chern_poly_rejects_non_integer_specialization():
     # at x = 1/2 the first power sum is 1/2, which no integer e_1 matches
-    with pytest.raises(LocalizationError, match="remainder"):
+    with pytest.raises(LocalizationError, match="not integral"):
         chern_poly(LaurentPoly({(1, 0): 1}), (Fraction(1, 2), 1), 1)
 
 
 small_specs = st.tuples(st.integers(-4, 4).filter(bool), st.integers(-4, 4).filter(bool))
+
+
+def _newton_chern_poly(c, spec, cap):
+    """Chern classes by Newton's identities on the power sums, raising where
+    a nontrivial weight is killed: the product route's algorithm."""
+    p, dead = power_sums(c, spec, cap)
+    if dead:
+        raise DegenerateSpecializationError("degenerate specialization")
+    return GradedPoly(cap, newton_chern(p))
+
+
+virtual_characters = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.integers(-3, 3).filter(bool),
+    max_size=6,
+).map(LaurentPoly)
+
+
+@given(virtual_characters, small_specs, st.integers(0, 7))
+@settings(max_examples=200)
+def test_chern_poly_matches_newton_on_power_sums(c, spec, cap):
+    """The linear-factor product and Newton's identities give the same Chern
+    classes of a virtual character, negative multiplicities and trivial
+    weights included, and both raise at a killed nontrivial weight."""
+    try:
+        expected = _newton_chern_poly(c, spec, cap)
+    except DegenerateSpecializationError:
+        with pytest.raises(DegenerateSpecializationError):
+            chern_poly(c, spec, cap)
+    else:
+        assert chern_poly(c, spec, cap) == expected
 
 
 @given(nontrivial_characters, nontrivial_characters, small_specs, st.integers(0, 6))

@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 from nesthilb import cli, engine, verify
+from nesthilb.toric import builtin_surface, chern_numbers
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "schemas"
@@ -349,6 +350,35 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["records"][0]["value"]["num"] == "9"
+
+
+def test_cold_start_imports_no_dataclasses_inspect_or_csv():
+    """The package's record types are namedtuples and the CSV writer loads
+    only for --format csv, so a fresh interpreter pays for none of these."""
+    code = ("import sys; before = set(sys.modules); from nesthilb import cli, engine, verify; "
+            "print(sorted({'dataclasses', 'inspect', 'csv'} & (set(sys.modules) - before)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_record_types_are_immutable_values():
+    surface = builtin_surface("p2")
+    chart = surface.charts[2]
+    numbers = chern_numbers(surface, surface.line_bundle([1, 0, 0]))
+    record = engine.InvariantRecord(2, 1, "nested", Fraction(-3, 2), [(1, 2)])
+    check = verify.Check("a check", True)
+    for value, field in ((chart, "u"), (numbers, "c2"), (record, "value"), (check, "passed")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+    assert repr(chart) == "Chart(index=2, rays=((-1, -1), (1, 0)), u=(0, -1), v=(1, -1))"
+    assert repr(numbers) == "ChernNumbers(M_squared=1, M_dot_K=-3, K_squared=9, c2=3)"
+    assert repr(check) == "Check(label='a check', passed=True, detail='')"
+    assert record == engine.InvariantRecord(2, 1, "nested", Fraction(-3, 2), [(1, 2)])
+    assert record != engine.InvariantRecord(2, 1, "nested", Fraction(3, 2), [(1, 2)])
 
 
 def _usable_cpus(monkeypatch, affinity, count):

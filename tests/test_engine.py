@@ -1,7 +1,7 @@
 """Localization engine: fixed points, dual routes, series, universality."""
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +177,85 @@ def _fraction_chart_table(chart, nums, dens, keys, spec, cap):
             total = total + chern_poly(integrand, spec, cap) * (1 / e)
         table[a, b] = total
     return table
+
+
+def _global_chart_table(chart, nums, dens, keys, spec, cap):
+    """One chart's integer table from the global characters: the tangent and
+    the blocks read at the global exponents, each block twisted by the
+    global bundle weights, and its Chern classes by Newton's identities on
+    the power sums.  The reference for `_chart_table`, which reads them at
+    the chart's own exponents with the linear-factor `chern_poly`."""
+    terms = []
+    for key in keys:
+        for pair in enumerate_nested_pairs(*key):
+            tangent = virtual_tangent_character(pair).substitute(chart.u, chart.v)
+            num, den = euler_factors(tangent, spec)
+            block = engine._global_block(chart.u, chart.v, pair.outer, pair.inner)
+            integrand = LaurentPoly.zero()
+            for m in nums:
+                integrand = integrand + block.shift(m.weights[chart.index])
+            for m in dens:
+                integrand = integrand - block.shift(m.weights[chart.index])
+            p, dead = power_sums(integrand, spec, cap)
+            if dead:
+                raise DegenerateSpecializationError("degenerate specialization")
+            terms.append((key, newton_chern(p), num, den))
+    denom = lcm(*(abs(num) for _, _, num, _ in terms))
+    table = {key: [0] * (cap + 1) for key in keys}
+    for key, coeffs, num, den in terms:
+        factor = den * (denom // num)
+        table[key] = [t + factor * c for t, c in zip(table[key], coeffs)]
+    return {key: GradedPoly(cap, coeffs) for key, coeffs in table.items()}, denom
+
+
+def _assert_chart_tables_match(surface, integrands, specs, cap):
+    """Every chart table of every integrand equals the global assembly, or
+    raises the same error, at every spec."""
+    keys = engine._local_keys(engine.series_grid(cap))
+    for nums, dens in integrands:
+        for spec in specs:
+            for c in surface.charts:
+                args = (c, nums, dens, keys, spec, cap)
+                expected = _outcome(lambda: _global_chart_table(*args))
+                assert _outcome(lambda: engine._chart_table(*args)) == expected, (
+                    c.index, spec, nums, dens)
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)", "hirzebruch(2)"])
+def test_chart_tables_match_global_assembly(name):
+    """The chart tables at local exponents equal those of the global
+    characters, also at specializations that kill weights."""
+    surface = builtin_surface(name)
+    k = len(surface.charts)
+    h = surface.line_bundle([1] + [0] * (k - 1))
+    d = surface.line_bundle([0, 2] + [0] * (k - 2))
+    integrands = [([h], []), ([h, surface.canonical_bundle()], [d])]
+    _assert_chart_tables_match(surface, integrands, ((13, 29), (1, 1), (1, -3), (2, 1)), 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(surfaces_with_bundles())
+def test_chart_tables_match_global_assembly_on_random_surfaces(surface_bundle):
+    surface, bundle = surface_bundle
+    k = surface.canonical_bundle()
+    integrands = [([bundle], []), ([bundle, k], [bundle]), ([k], [bundle])]
+    _assert_chart_tables_match(surface, integrands, ((13, 29), (1, -3), (2, 1)), 3)
+
+
+def test_chart_table_nets_killed_weights_over_nums_and_dens():
+    """At (1, -3) the O(1)-twisted blocks of chart 0 lose a weight that its
+    tangents keep.  Alone it raises; cancelled by a dens block it does not,
+    and the table is that of the remaining integrand."""
+    chart = P2.charts[0]
+    h, k = P2.line_bundle([1, 0, 0]), P2.canonical_bundle()
+    keys = engine._local_keys(engine.series_grid(2))
+    spec = (1, -3)
+    for table in (engine._chart_table, _global_chart_table):
+        with pytest.raises(DegenerateSpecializationError):
+            table(chart, [h], [], keys, spec, 2)
+    cancelled = engine._chart_table(chart, [h, k], [h], keys, spec, 2)
+    assert cancelled == _global_chart_table(chart, [h, k], [h], keys, spec, 2)
+    assert cancelled == engine._chart_table(chart, [k], [], keys, spec, 2)
 
 
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
