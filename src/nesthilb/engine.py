@@ -149,7 +149,7 @@ def _chart_table(chart, nums, dens, keys, spec, cap):
 
     With e = num / den, D_c = lcm(|num|) over the chart's pairs, and each
     pair adds its integer Chern coefficients times den * (D_c // num)."""
-    (u, v), (r1, r2) = (chart.u, chart.v), chart.rays
+    u, v, (r1, r2) = chart.u, chart.v, chart.rays
     x, y = spec
     local = (u[0] * x + u[1] * y, v[0] * x + v[1] * y)
     twists = [
