@@ -110,9 +110,7 @@ def cmd_integrate(args, out):
         raise UsageError("n1 < n2: the nesting range is empty")
     routes = ["nested", "product"] if args.route == "both" else [args.route]
     records = [
-        engine.invariant_record(
-            surface, bundle, args.n1, args.n2, route=route, seed=args.seed, jobs=args.jobs
-        )
+        engine.invariant_record(surface, bundle, args.n1, args.n2, route=route, seed=args.seed)
         for route in routes
     ]
     agreement = len({r.value for r in records}) == 1
@@ -199,8 +197,8 @@ def build_parser():
     p_int.add_argument("--n2", type=int, required=True)
     p_int.add_argument("--route", choices=("nested", "product", "both"), default="nested")
     p_int.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="at most N worker processes for the product route's "
-                            "fixed-point sum; small sums run serially")
+                       help="accepted and ignored: the product route's fixed-point "
+                            "sum runs serially; N must be positive")
     p_int.add_argument("--format", choices=("json", "csv"), default="json")
     common(p_int)
 

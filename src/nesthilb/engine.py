@@ -24,12 +24,10 @@ values with their specializations; the CLI labels and encodes them.
 
 from __future__ import annotations
 
-import atexit
-import os
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from math import gcd, lcm, prod
 from operator import add, getitem, sub
 
@@ -50,14 +48,6 @@ from .series import GradedPoly, Series2, product_formula
 from .toric import builtin_surface, check_bundle, chern_numbers
 
 MAX_REDRAWS = 8
-
-# Product fixed points each worker must get for the pool to pay.  On a
-# 2-core VM, two workers lost to one process at (5, 4) on p1xp1 (26 460
-# points) and won at (9, 3) on p2 (32 538 points), so the gate sits
-# between.  Points are a coarse measure of the work, which varies from 2 to
-# 26 us per point with the share of points that reach the integrand; the
-# README has the runs.
-MIN_POINTS_PER_WORKER = 15000
 
 
 class SpecializationDisagreement(LocalizationError):
@@ -327,46 +317,6 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     return GradedPoly(cap, [Fraction(a, denom) for a in acc])
 
 
-def _chunked(seq, chunks):
-    size = max(1, (len(seq) + chunks - 1) // chunks)
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
-@cache
-def _pool(jobs):
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=jobs)
-
-
-# Free the pools at exit, while the modules that their collection callback
-# uses are intact; at interpreter teardown they may be cleared already.
-atexit.register(_pool.cache_clear)
-
-
-def _parallel_sum(route_sum, points, jobs):
-    """Apply a route sum with everything but `points` bound to all fixed
-    points in this process, or to chunks of them in at most `jobs` worker
-    processes.
-
-    Each worker gets at least MIN_POINTS_PER_WORKER points, below which the
-    pool mostly does not pay, and there are never more workers than CPUs
-    this process may run on (its affinity mask), since the pool starts all
-    of them at first use.  So a sum too small for two workers runs here and
-    loads no pool module.  The workers are forked once per process and then
-    serve every later sum, keeping their chart tables warm.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(jobs, cpus, len(points) // MIN_POINTS_PER_WORKER)
-    if workers <= 1:
-        return route_sum(points)
-    parts = list(_pool(workers).map(route_sum, _chunked(points, workers * 4)))
-    return sum(parts[1:], parts[0])
-
-
 # ---------------------------------------------------------------------------
 # specialization policy
 
@@ -420,15 +370,13 @@ def _dual_spec_graded(compute, seed):
 _NESTED_LOCUS = ((None, False),)
 
 
-def _localize(surface, route, nums, dens, grid, seed, tops=_NESTED_LOCUS, jobs=1):
+def _localize(surface, route, nums, dens, grid, seed, tops=_NESTED_LOCUS):
     """The one localization pipeline: returns ({(n1, n2): value}, specializations)
     for every target of the grid.
 
     The integrand is prod c(twist by nums) / prod c(twist by dens).  The
     product route also multiplies by the top Chern classes in `tops`; its
     default cuts the product of Hilbert schemes down to the nested locus.
-    Only the product route reads `jobs`: at most that many worker processes
-    share its sum (`_parallel_sum`).
     """
     for bundle in (*nums, *dens, *(b for b, _ in tops if b is not None)):
         check_bundle(surface, bundle)
@@ -439,10 +387,7 @@ def _localize(surface, route, nums, dens, grid, seed, tops=_NESTED_LOCUS, jobs=1
 
         def compute(spec):
             return {
-                target: _parallel_sum(
-                    partial(_product_sum, surface, tops, nums, dens, *target, spec),
-                    points[target], jobs,
-                )
+                target: _product_sum(surface, tops, nums, dens, *target, spec, points[target])
                 for target in grid
             }
     else:
@@ -473,11 +418,9 @@ def multi_bundle_invariant(surface, nums, dens, n1, n2, *, seed=0, route="nested
     return _localize(surface, route, nums, dens, [(n1, n2)], seed, tops)[0][n1, n2]
 
 
-def invariant_record(surface, bundle, n1, n2, route="nested", seed=0, jobs=1):
-    """Compute one invariant with the two specializations that produced it;
-    the product route sum runs in at most `jobs` worker processes, and in
-    this one where it is too small to pay for them."""
-    values, specs = _localize(surface, route, [bundle], [], [(n1, n2)], seed, jobs=jobs)
+def invariant_record(surface, bundle, n1, n2, route="nested", seed=0):
+    """Compute one invariant with the two specializations that produced it."""
+    values, specs = _localize(surface, route, [bundle], [], [(n1, n2)], seed)
     return InvariantRecord(n1, n2, route, values[n1, n2], specs)
 
 

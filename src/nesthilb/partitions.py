@@ -23,10 +23,6 @@ class Partition:
         self.parts = parts
         self._hash = hash(parts)
 
-    def __reduce__(self):
-        # a pickled copy, as sent to a worker process, rebuilds its hash
-        return Partition, (self.parts,)
-
     @property
     def size(self):
         return sum(self.parts)

@@ -18,7 +18,7 @@ from .characters import (
 )
 from .laurent import LaurentPoly
 from .partitions import EMPTY, NestedPair, Partition, enumerate_nested_pairs
-from .toric import builtin_surface, chern_numbers
+from .toric import ToricSurface, builtin_surface, chern_numbers
 
 
 Check = namedtuple("Check", "label passed detail", defaults=("",))
@@ -144,13 +144,22 @@ def suite_universality(cap=4, seed=0):
     checks = []
     fit = engine.universal_series_fit(cap, seed=seed)
     f1 = builtin_surface("hirzebruch(1)")
-    for label, bundle in (("O", f1.structure_sheaf()), ("O(1,0,2,0)", f1.line_bundle([1, 0, 2, 0]))):
-        cn = chern_numbers(f1, bundle)
+    # hirzebruch(1) has the K^2 and c2 of the generator p1xp1; the blow-up,
+    # with K^2 = 7 and c2 = 5, also tests the fit's a3 and a4
+    blowup = ToricSurface("five-ray blow-up of p2", [(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)])
+    cases = [
+        (f1, "O", f1.structure_sheaf()),
+        (f1, "O(1,0,2,0)", f1.line_bundle([1, 0, 2, 0])),
+        (blowup, "O", blowup.structure_sheaf()),
+        (blowup, "O(1,0,2,0,0)", blowup.line_bundle([1, 0, 2, 0, 0])),
+    ]
+    for surface, label, bundle in cases:
+        cn = chern_numbers(surface, bundle)
         pred = engine.predicted_series(fit, cn)
-        direct = engine.z_nest_series(f1, bundle, cap, seed=seed)
+        direct = engine.z_nest_series(surface, bundle, cap, seed=seed)
         checks.append(
             Check(
-                f"universal fit predicts hirzebruch(1)/{label} to degree {cap}",
+                f"universal fit predicts {surface.name}/{label} to degree {cap}",
                 pred.terms == direct.terms,
                 f"predicted={pred.terms} direct={direct.terms}",
             )

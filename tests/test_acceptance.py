@@ -74,11 +74,13 @@ def test_criterion_5_closed_form_series():
 
 
 def test_criterion_6_universality():
-    """The four fitted universal series predict a fifth surface exactly."""
+    """The four fitted universal series predict two more surfaces exactly."""
     assert_checks_pass(
         "universality",
         "universal fit predicts hirzebruch(1)/O to degree 4",
         "universal fit predicts hirzebruch(1)/O(1,0,2,0) to degree 4",
+        "universal fit predicts five-ray blow-up of p2/O to degree 4",
+        "universal fit predicts five-ray blow-up of p2/O(1,0,2,0,0) to degree 4",
     )
 
 

@@ -1,6 +1,5 @@
 """Command-line interface: formats, determinism, exit codes, schemas."""
 
-import concurrent.futures
 import io
 import json
 import os
@@ -276,6 +275,13 @@ def test_jobs_is_an_integrate_option_only(argv):
     assert err.value.code == cli.EXIT_USAGE
 
 
+def test_nonpositive_jobs_is_usage_error(capsys):
+    code, text = run_cli(["integrate", "--surface", "p2", "--n1", "1", "--n2", "0",
+                          "--jobs", "0"])
+    assert (code, text) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: --jobs must be positive\n"
+
+
 def test_bad_bundle_is_usage_error():
     code, _ = run_cli(
         ["integrate", "--surface", "p2", "--bundle", "nope", "--n1", "0", "--n2", "0"]
@@ -381,95 +387,25 @@ def test_record_types_are_immutable_values():
     assert record != engine.InvariantRecord(2, 1, "nested", Fraction(3, 2), [(1, 2)])
 
 
-def _usable_cpus(monkeypatch, affinity, count):
-    """Let this process run on `affinity` CPUs (None: a platform without an
-    affinity mask) of a machine with `count`."""
-    if affinity is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
-                            raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
-
-
-def test_jobs_reuse_one_worker_pool(monkeypatch):
-    built = []
-
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(engine, "MIN_POINTS_PER_WORKER", 1)
-    _usable_cpus(monkeypatch, 2, 2)
-    engine._pool.cache_clear()
-    try:
-        code, _ = run_cli(["integrate", "--surface", "p2", "--bundle", "K",
-                           "--n1", "3", "--n2", "1", "--route", "both", "--jobs", "2"])
-    finally:
-        engine._pool.cache_clear()
-        for pool in built:
-            pool.shutdown()
-    assert code == 0
-    assert len(built) == 1
-
-
-@pytest.mark.parametrize("affinity, count, workers", [
-    pytest.param(3, 8, [3], id="3"),
-    pytest.param(1, 8, [], id="pinned-to-one"),
-    pytest.param(None, 3, [3], id="no-affinity"),
-    pytest.param(None, None, [], id="None"),
-])
-def test_jobs_beyond_the_cpus_start_one_worker_per_cpu(monkeypatch, affinity, count, workers):
-    """A pool starts every worker at first use, so --jobs is capped by the
-    CPUs this process may run on."""
-    built, chunks = [], []
-
-    class InProcessPool:  # records the pool's size and starts no process
-        def __init__(self, max_workers):
-            built.append(max_workers)
-
-        def map(self, fn, parts):
-            chunks.append(len(parts))
-            return map(fn, parts)
-
-    argv = ["integrate", "--surface", "p2", "--bundle", "K", "--n1", "2", "--n2", "1",
-            "--route", "product", "--jobs"]
-    serial = run_cli(argv + ["1"])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(engine, "MIN_POINTS_PER_WORKER", 1)
-    _usable_cpus(monkeypatch, affinity, count)
-    engine._pool.cache_clear()
-    try:
-        assert run_cli(argv + ["100000"]) == serial
-    finally:
-        engine._pool.cache_clear()
-    assert built == workers
-    assert bool(chunks) == bool(workers) and all(n <= 3 * 4 for n in chunks)
-
-
-def test_jobs_below_the_gate_run_serially():
-    """A sum too small to give each worker MIN_POINTS_PER_WORKER points runs
-    in the parent: --jobs 2 loads no pool module and prints the bytes of
-    --jobs 1."""
+def test_jobs_is_ignored_and_loads_no_pool():
+    """The product sum runs serially: at (7, 3), 49 600 product fixed points,
+    --jobs 2 prints the bytes of --jobs 1 and loads no pool module."""
     code = ("import sys, nesthilb.cli; "
-            "nesthilb.cli.main(['integrate', '--surface', 'p2', '--bundle', 'K', '--n1', '3', "
-            "'--n2', '1', '--route', 'both', '--jobs', sys.argv[1]]); "
+            "nesthilb.cli.main(['integrate', '--surface', 'p1xp1', '--bundle', 'O(1,1)', "
+            "'--n1', '7', '--n2', '3', '--route', 'product', '--jobs', sys.argv[1]]); "
             "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
             "if m in sys.modules], file=sys.stderr)")
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     runs = [subprocess.run([sys.executable, "-c", code, jobs], capture_output=True, env=env)
             for jobs in ("1", "2")]
     assert [proc.returncode for proc in runs] == [0, 0], runs[1].stderr
-    assert runs[1].stderr.strip() == b"[]"
-    assert runs[1].stdout == runs[0].stdout and runs[0].stdout
+    assert [proc.stderr.strip() for proc in runs] == [b"[]", b"[]"]
+    assert runs[1].stdout == runs[0].stdout
+    assert json.loads(runs[0].stdout)["records"][0]["value"] == {"num": "419694", "den": "1"}
 
 
 def test_cli_import_loads_no_process_pool():
-    """The pool's modules load only when a --jobs sum starts one."""
+    """Importing the CLI loads no process-pool module."""
     code = ("import sys, nesthilb.cli; "
             "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
     root = Path(__file__).resolve().parent.parent

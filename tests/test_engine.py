@@ -560,16 +560,6 @@ def test_universality_fit_reproduces_generators():
         assert pred.terms == direct.terms
 
 
-@pytest.mark.parametrize("route", ["nested", "product"])
-def test_parallel_jobs_match_serial(route, monkeypatch):
-    monkeypatch.setattr(engine, "MIN_POINTS_PER_WORKER", 1)
-    records = [
-        engine.invariant_record(P2, P2.canonical_bundle(), 2, 1, route=route, jobs=jobs)
-        for jobs in (1, 2)
-    ]
-    assert records[0] == records[1]
-
-
 def test_disagreement_surfaces_as_error():
     with pytest.raises(SpecializationDisagreement):
         engine._dual_spec_graded(lambda spec: {(0, 0): GradedPoly(0, [spec[0]])}, seed=0)

@@ -30,8 +30,8 @@ def test_enumeration_order_is_decreasing_lex():
 
 
 def test_pickled_partition_hashes_and_caches_like_the_original():
-    """Pool workers receive pickled partitions: a copy is equal, hashes equal
-    and hits the cache entries made with the original."""
+    """A pickled copy of a partition is equal, hashes equal and hits the
+    cache entries made with the original."""
     calls = []
 
     @lru_cache(maxsize=None)
