@@ -52,14 +52,6 @@ def block_character(mu_a, mu_b):
 
 
 @lru_cache(maxsize=None)
-def _tangent_character(outer, inner):
-    return (
-        block_character(outer, outer)
-        + block_character(inner, inner)
-        - block_character(outer, inner)
-    )
-
-
 def virtual_tangent_character(pair: NestedPair):
     """Virtual tangent character of a nested fixed point on one chart.
 
@@ -67,7 +59,12 @@ def virtual_tangent_character(pair: NestedPair):
     + (bar(Z1) Z2 - bar(Z1) Z1 - bar(Z2) Z2)(1 - t1)(1 - t2)/(t1 t2),
     assembled from the block decomposition; rank is |outer| + |inner|.
     """
-    return _tangent_character(pair.outer, pair.inner)
+    outer, inner = pair
+    return (
+        block_character(outer, outer)
+        + block_character(inner, inner)
+        - block_character(outer, inner)
+    )
 
 
 def block_character_resolution(mu_a, mu_b):

@@ -14,7 +14,10 @@ Two independent routes compute the same invariants:
   for each final coefficient;
 * the product route sums over all pairs of partition tuples (nested or
   not) on the product of two Hilbert schemes, cutting down to the nested
-  locus with the top Chern class of the untwisted fiber class.
+  locus with the top Chern class of the untwisted fiber class.  Each point
+  reads its chart factors from cached functions of the chart's partition
+  pair, and its tangent from the Hilbert-scheme tangents at the two
+  partition tuples, each cached once per tuple.
 
 The partition tuples come from `partitions.partition_tuples`.  All
 arithmetic is exact; every value is computed at two generic numeric
@@ -27,9 +30,9 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from math import gcd, lcm, prod
-from operator import add, getitem, sub
+from operator import add, call
 
 from .characters import (
     DegenerateSpecializationError,
@@ -193,27 +196,16 @@ def _nested_sums(surface, nums, dens, grid, spec):
     return sums
 
 
-class _PairTable(dict):
-    """One chart's entries {(mu_a, mu_b): entry(mu_a, mu_b)}, each computed at
-    its first read, so that a pair that no point reaches is never evaluated.
-    An entry that raises is not stored, so every read of it raises again."""
-
-    def __init__(self, entry):
-        super().__init__()
-        self.entry = entry
-
-    def __missing__(self, key):
-        value = self[key] = self.entry(*key)
-        return value
-
-
 @lru_cache(maxsize=None)
 def _top_table(u, v, shift, spec):
     """Top Chern classes of one chart's blocks, twisted by the bundle weight
-    `shift` (None: untwisted).  A block is a genuine character, so each is
-    the product of its weights, 0 at a trivial weight, and a weight that the
-    specialization kills raises (`euler_factors`): nothing can cancel it."""
+    `shift` (None: untwisted), as a cached function of (mu_a, mu_b).  A
+    block is a genuine character, so each is the product of its weights, 0
+    at a trivial weight, and a weight that the specialization kills raises
+    (`euler_factors`): nothing can cancel it.  A raising entry is not
+    cached, so every read of it raises again."""
 
+    @cache
     def top(mu_a, mu_b):
         block = _global_block(u, v, mu_a, mu_b)
         try:
@@ -221,29 +213,27 @@ def _top_table(u, v, shift, spec):
         except TrivialWeightError:
             return 0
 
-    return _PairTable(top)
+    return top
 
 
 @lru_cache(maxsize=None)
-def _tangent_table(u, v, spec):
-    """Integer Euler factors (num, den) of one chart's tangent to the product
-    of Hilbert schemes at (mu_1, mu_2): the product of the tangents of the
-    Hilbert schemes at mu_1 and at mu_2, each the nested pair (mu, mu)."""
+def _integrand_table(u, v, nums, dens, spec, cap):
+    """Power sums and dead weights (`power_sums`) of one chart's integrand
+    at (mu_a, mu_b), as a cached function: the block twisted by each bundle
+    weight of `nums`, less the block twisted by each of `dens`, so that a
+    dens block cancels the weights that it shares with a nums block."""
 
-    def tangent(mu1, mu2):
-        num1, den1 = _tangent_euler(u, v, mu1, mu1, spec)
-        num2, den2 = _tangent_euler(u, v, mu2, mu2, spec)
-        return num1 * num2, den1 * den2
+    @cache
+    def integrand(mu_a, mu_b):
+        block = _global_block(u, v, mu_a, mu_b)
+        net = LaurentPoly.zero()
+        for shift in nums:
+            net += block.shift(shift)
+        for shift in dens:
+            net -= block.shift(shift)
+        return power_sums(net, spec, cap)
 
-    return _PairTable(tangent)
-
-
-@lru_cache(maxsize=None)
-def _power_sum_table(u, v, shift, spec, cap):
-    """Power sums and dead weights (`power_sums`) of one chart's blocks,
-    twisted by the bundle weight `shift`."""
-    return _PairTable(
-        lambda mu_a, mu_b: power_sums(_global_block(u, v, mu_a, mu_b).shift(shift), spec, cap))
+    return integrand
 
 
 def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
@@ -256,14 +246,16 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
 
     At a fixed specialization power sums add and Chern and Euler classes
     multiply over the charts, so every point reads its chart factors from
-    one pair table per chart and twist.  It multiplies the chart Euler
-    numbers of each top factor, reading every chart, so that a weight killed
-    in one chart raises even where another chart's factor is 0.  Where all
-    top factors are nonzero it multiplies the chart tangent Euler factors
-    and adds up the chart power sums of the integrand, over one integer
-    denominator and one Fraction per coefficient at the end.  Only the
-    integrand, whose dens blocks can cancel nums blocks, nets the weights
-    that the specialization kills over the charts; the others raise.
+    one cached function per chart and top factor, and one per chart for the
+    integrand.  It multiplies the chart Euler numbers of each top factor,
+    reading every chart, so that a weight killed in one chart raises even
+    where another chart's factor is 0.  Only where all top factors are
+    nonzero does it read the tangent, the product of the Euler factors of
+    the Hilbert-scheme tangents at tup1 and at tup2, each cached once per
+    partition tuple, and add up the chart power sums of the integrand, over
+    one integer denominator and one Fraction per coefficient at the end.
+    Only the integrand, whose dens blocks can cancel nums blocks, nets the
+    weights that the specialization kills over the charts; the others raise.
     """
     cap = max((2 - len(tops)) * (n1 + n2), 0)
     charts = surface.charts
@@ -272,36 +264,40 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
                 for c in charts])
         for b, swap in tops
     ]
-    tangent_tables = [_tangent_table(c.u, c.v, spec) for c in charts]
     integrand_tables = [
-        (sign, [_power_sum_table(c.u, c.v, m.weights[c.index], spec, cap) for c in charts])
-        for bundles, sign in ((nums, 1), (dens, -1)) for m in bundles
+        _integrand_table(c.u, c.v, tuple(m.weights[c.index] for m in nums),
+                         tuple(m.weights[c.index] for m in dens), spec, cap)
+        for c in charts
     ]
+
+    @cache
+    def tangent(tup):
+        num = den = 1
+        for c, mu in zip(charts, tup):
+            n, d = _tangent_euler(c.u, c.v, mu, mu, spec)
+            num *= n
+            den *= d
+        return num, den
+
     acc = [0] * (cap + 1)
     denom = 1
     for tup1, tup2 in points:
         scalar = 1
         for swap, tables in top_tables:
-            keys = zip(tup2, tup1) if swap else zip(tup1, tup2)
-            scalar *= prod(list(map(getitem, tables, keys)))
+            mus_a, mus_b = (tup2, tup1) if swap else (tup1, tup2)
+            scalar *= prod(map(call, tables, mus_a, mus_b))
             if not scalar:
                 break
         if not scalar:
             continue
-        pairs = list(zip(tup1, tup2))
-        num = den = 1
-        for table, key in zip(tangent_tables, pairs):
-            n, d = table[key]
-            num *= n
-            den *= d
+        (num1, den1), (num2, den2) = tangent(tup1), tangent(tup2)
+        num, den = num1 * num2, den1 * den2
         p = [0] * (cap + 1)
         net = {}
-        for sign, tables in integrand_tables:
-            for table, key in zip(tables, pairs):
-                chart_p, dead = table[key]
-                p = list(map(add if sign > 0 else sub, p, chart_p))
-                for weight, mult in dead.items():
-                    net[weight] = net.get(weight, 0) + sign * mult
+        for chart_p, dead in map(call, integrand_tables, tup1, tup2):
+            p = list(map(add, p, chart_p))
+            for weight, mult in dead.items():
+                net[weight] = net.get(weight, 0) + mult
         if any(net.values()):
             raise DegenerateSpecializationError("degenerate specialization")
         e = newton_chern(p)

@@ -108,7 +108,7 @@ def basis_states(rank, n):
     if n < 0:
         raise FockError("grading must be nonnegative")
     return tuple(sorted(
-        tuple(sorted((m, i) for i, mu in enumerate(tup) for m in mu.parts))
+        tuple(sorted((m, i) for i, mu in enumerate(tup) for m in mu))
         for tup in partition_tuples(rank, n)
     ))
 

@@ -2,65 +2,53 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
+from operator import ge
 
 from .laurent import LaurentPoly
 
 
-class Partition:
+class Partition(tuple):
     """A weakly decreasing tuple of positive integers."""
 
-    # the hash is stored once: every cache lookup of the localization routes
-    # hashes partitions
-    __slots__ = ("parts", "_hash")
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(int(p) for p in parts)
         if any(p <= 0 for p in parts):
             raise ValueError("parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
-        self.parts = parts
-        self._hash = hash(parts)
+        return super().__new__(cls, parts)
 
     @property
     def size(self):
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return self._hash
+        return sum(self)
 
     def __repr__(self):
-        return f"Partition{self.parts}"
+        return f"Partition{tuple(self)}"
 
     def contains(self, other):
         """Containment of Young diagrams: other fits inside self row by row."""
-        if len(other) > len(self):
-            return False
-        return all(other.parts[i] <= self.parts[i] for i in range(len(other)))
+        return len(other) <= len(self) and all(map(ge, self, other))
 
     def cells(self):
         """Zero-based (row, column) cells of the Young diagram."""
-        for a, row in enumerate(self.parts):
+        for a, row in enumerate(self):
             for b in range(row):
                 yield (a, b)
 
     def generators(self):
         """Exponents of the minimal monomial generators of the ideal.
 
-        Row a of the diagram occupies columns 0..parts[a]-1 with t1-exponent a;
+        Row a of the diagram occupies columns 0..self[a]-1 with t1-exponent a;
         the ideal below the staircase is generated by the corner monomials.
         """
         gens = []
         prev = None
-        for a in range(len(self.parts) + 1):
-            width = self.parts[a] if a < len(self.parts) else 0
+        for a in range(len(self) + 1):
+            width = self[a] if a < len(self) else 0
             if prev is None or width < prev:
                 gens.append((a, width))
             prev = width
@@ -70,19 +58,15 @@ class Partition:
 EMPTY = Partition()
 
 
-class NestedPair:
+class NestedPair(namedtuple("NestedPair", "outer inner")):
     """A containment pair of partitions: inner fits inside outer."""
 
-    __slots__ = ("outer", "inner")
+    __slots__ = ()
 
-    def __init__(self, outer, inner):
+    def __new__(cls, outer, inner):
         if not outer.contains(inner):
             raise ValueError("inner partition does not fit inside outer")
-        self.outer = outer
-        self.inner = inner
-
-    def __repr__(self):
-        return f"NestedPair({self.outer.parts}, {self.inner.parts})"
+        return super().__new__(cls, outer, inner)
 
 
 @lru_cache(maxsize=None)

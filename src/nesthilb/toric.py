@@ -135,11 +135,14 @@ def builtin_surface(name):
     if name == "p1xp1":
         return ToricSurface("p1xp1", [(1, 0), (0, 1), (-1, 0), (0, -1)])
     if name.startswith("hirzebruch(") and name.endswith(")"):
+        # only the canonical spelling str(a), so that a surface has one name
+        arg = name[len("hirzebruch(") : -1]
         try:
-            a = int(name[len("hirzebruch(") : -1])
+            a = int(arg)
         except ValueError:
-            raise ToricError(f"unknown surface {name!r}") from None
-        return ToricSurface(name, [(1, 0), (0, 1), (-1, a), (0, -1)])
+            a = None
+        if a is not None and str(a) == arg:
+            return ToricSurface(name, [(1, 0), (0, 1), (-1, a), (0, -1)])
     raise ToricError(f"unknown surface {name!r}")
 
 

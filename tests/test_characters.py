@@ -73,6 +73,18 @@ def test_closed_forms_one_point():
     )
 
 
+def test_nested_pairs_compare_by_value():
+    """Two nested pairs built separately from equal partitions are equal and
+    hash equal, so the second tangent character read is a cache hit."""
+    first = NestedPair(Partition((2, 1)), Partition((1,)))
+    second = NestedPair(Partition([2, 1]), Partition([1]))
+    assert first is not second and first == second and hash(first) == hash(second)
+    expected = virtual_tangent_character(first)
+    hits = virtual_tangent_character.cache_info().hits
+    assert virtual_tangent_character(second) is expected
+    assert virtual_tangent_character.cache_info().hits == hits + 1
+
+
 def test_tangent_rank_and_no_trivial_weight():
     for n1 in range(6):
         for n2 in range(n1 + 1):

@@ -249,11 +249,22 @@ def test_unknown_surface_is_usage_error():
     assert code == 2
 
 
-@pytest.mark.parametrize("name", ["hirzebruch(x)", "hirzebruch()", "hirzebruch(1.5)"])
+@pytest.mark.parametrize("name", [
+    "hirzebruch(x)", "hirzebruch()", "hirzebruch(1.5)",
+    # int() reads these, but none is the canonical spelling str(a)
+    "hirzebruch(01)", "hirzebruch(+1)", "hirzebruch(1_0)", "hirzebruch( 1 )",
+    "hirzebruch(\u0661)",
+])
 def test_malformed_hirzebruch_is_unknown_surface(capsys, name):
     code, text = run_cli(["integrate", "--surface", name, "--n1", "0", "--n2", "0"])
     assert (code, text) == (cli.EXIT_USAGE, "")
     assert capsys.readouterr().err.startswith(f"error: unknown surface {name!r}")
+
+
+@pytest.mark.parametrize("name", ["hirzebruch(0)", "hirzebruch(-7)"])
+def test_canonical_hirzebruch_name_is_the_surface_name(name):
+    code, text = run_cli(["integrate", "--surface", name, "--n1", "1", "--n2", "0"])
+    assert code == 0 and json.loads(text)["records"][0]["surface"] == name
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

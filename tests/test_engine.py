@@ -21,7 +21,7 @@ from nesthilb.characters import (
 )
 from nesthilb.engine import SpecializationDisagreement
 from nesthilb.laurent import LaurentPoly
-from nesthilb.partitions import NestedPair, enumerate_nested_pairs
+from nesthilb.partitions import EMPTY, NestedPair, Partition, enumerate_nested_pairs
 from nesthilb.series import GradedPoly, Series2
 from nesthilb.toric import builtin_surface, chern_numbers
 from test_toric import surfaces_with_bundles
@@ -331,7 +331,7 @@ def test_local_keys_are_the_chart_components(name):
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
 def test_product_kernel_matches_assembled_characters(name):
     """At every product fixed point of (2, 1) and (3, 1), the power sums and
-    Euler factors read from the pair tables of the charts give the summand
+    Euler factors read from the cached chart factors give the summand
     of the global characters, or raise the same error, also at
     specializations that kill weights."""
     surface = builtin_surface(name)
@@ -408,10 +408,28 @@ def test_top_factor_matches_newton(name):
         expected = _outcome(lambda: _newton_top(blocks, spec, top))
         tables = [engine._top_table(c.u, c.v, None if weights is None else weights[c.index], spec)
                   for c in surface.charts]
-        got = _outcome(lambda: prod([table[key] for table, key in zip(tables, zip(tup_a, tup_b))]))
+        got = _outcome(lambda: prod([table(*key) for table, key in zip(tables, zip(tup_a, tup_b))]))
         assert got == expected, (weights, tup_a, tup_b, spec)
         outcomes.add(expected if isinstance(expected, type) else bool(expected))
     assert outcomes == {True, False, DegenerateSpecializationError}
+
+
+def test_product_route_reads_tangents_only_where_the_top_factor_is_nonzero(monkeypatch):
+    """A non-nested point, its boxes on different charts, has top factor 0
+    and adds the zero class without reading a tangent; a nested point reads
+    one, which the patched tangent turns into an error."""
+
+    def unread(*args):
+        raise RuntimeError("tangent read")
+
+    monkeypatch.setattr(engine, "_tangent_euler", unread)
+    one = Partition((1,))
+    apart = ((one, EMPTY, EMPTY), (EMPTY, one, EMPTY))
+    nested = ((one, EMPTY, EMPTY), (one, EMPTY, EMPTY))
+    args = (P2, engine._NESTED_LOCUS, [], [], 1, 1, (13, 29))
+    assert engine._product_sum(*args, [apart]) == GradedPoly(2)
+    with pytest.raises(RuntimeError, match="tangent read"):
+        engine._product_sum(*args, [nested])
 
 
 def test_product_fixed_points_include_non_nested():

@@ -25,7 +25,7 @@ def test_partition_counts():
 
 
 def test_enumeration_order_is_decreasing_lex():
-    parts = [p.parts for p in enumerate_partitions(4)]
+    parts = [tuple(p) for p in enumerate_partitions(4)]
     assert parts == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
