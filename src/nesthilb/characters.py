@@ -130,29 +130,28 @@ def euler_class(c, spec):
 
 
 def power_sums(c, spec, cap):
-    """Signed power sums of the live weights of a character: (p, dead).
+    """Signed power sums of the weights of a character.
 
     p[k] = (-1)^(k-1) sum mult w^k for 1 <= k <= cap (p[0] = 0) over the
-    weights w = a x + b y that the numeric specialization (x, y) keeps
-    nonzero, and dead = {weight: mult} holds the nontrivial weights that it
-    sends to 0.  Both add over a sum of characters.  Trivial weights add
-    nothing to either, which is what makes top Chern classes of classes with
-    trivial summands vanish.
+    weights w = a x + b y at the numeric specialization (x, y); they add
+    over a sum of characters.  A trivial weight adds nothing, which is what
+    makes top Chern classes of classes with trivial summands vanish.  A
+    nontrivial weight that the specialization kills raises
+    DegenerateSpecializationError, as in `chern_poly` and `euler_factors`.
     """
     x, y = spec
     p = [0] * (cap + 1)
-    dead = {}
     for (a, b), mult in c.terms.items():
         w = a * x + b * y
         if not w:
             if (a, b) != TRIVIAL:
-                dead[a, b] = mult
+                raise DegenerateSpecializationError("degenerate specialization")
             continue
         term = -mult
         for k in range(1, cap + 1):
             term *= -w
             p[k] += term
-    return p, dead
+    return p
 
 
 def newton_chern(p):

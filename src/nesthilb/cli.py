@@ -40,11 +40,13 @@ def _default_seed():
 
 
 def _coefficients(text):
-    """Integer coefficients a,b,..., or None if the text is not a list of them."""
+    """Integer coefficients a,b,..., or None unless the text lists them, each
+    in its canonical spelling str(a), so that a bundle has one label."""
     try:
-        return [int(c) for c in text.split(",")]
+        coeffs = [int(c) for c in text.split(",")]
     except ValueError:
         return None
+    return coeffs if ",".join(map(str, coeffs)) == text else None
 
 
 def _in_bundle_grammar(label):

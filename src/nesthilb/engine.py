@@ -14,10 +14,16 @@ Two independent routes compute the same invariants:
   for each final coefficient;
 * the product route sums over all pairs of partition tuples (nested or
   not) on the product of two Hilbert schemes, cutting down to the nested
-  locus with the top Chern class of the untwisted fiber class.  Each point
-  reads its chart factors from cached functions of the chart's partition
-  pair, and its tangent from the Hilbert-scheme tangents at the two
-  partition tuples, each cached once per tuple.
+  locus with the top Chern class of the untwisted fiber class, one point
+  at a time from cached chart factors.
+
+Both routes read every chart block V(mu_a, mu_b) at the chart's own
+exponents and weights (`_local_weights`), twist it by each bundle's local
+shift (`_local_twist`) and net an integrand's nums against its dens on
+the chart (`_net_integrand`), so a weight that the specialization kills
+raises wherever its net multiplicity is nonzero.  They differ in their
+Chern algorithm (linear factors against Newton's identities) and in
+their summation (table products against the product fixed points).
 
 The partition tuples come from `partitions.partition_tuples`.  All
 arithmetic is exact; every value is computed at two generic numeric
@@ -32,7 +38,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from math import gcd, lcm, prod
-from operator import add, call
+from operator import call
 
 from .characters import (
     DegenerateSpecializationError,
@@ -92,22 +98,48 @@ def enumerate_global_fixed_points(surface, n1, n2):
 
 @lru_cache(maxsize=None)
 def _global_block(u, v, mu_a, mu_b):
+    """V(mu_a, mu_b) at the global exponents of the chart with weights u, v,
+    for the tests' global-frame references: the engine reads chart frames."""
     return block_character(mu_a, mu_b).substitute(u, v)
 
 
-@lru_cache(maxsize=None)
-def _tangent_euler(u, v, outer, inner, spec):
-    """Integer Euler factors (num, den) of one chart's virtual tangent at the
-    nested pair (outer, inner), raising at a pole like `euler_factors`.
+def _local_weights(chart, spec):
+    """The chart's own weights (u.spec, v.spec): on a unimodular cone
+    (a, b) -> a u + b v is a bijection of Z^2 and (a u + b v).spec =
+    a (u.spec) + b (v.spec), so a block read at the chart's own exponents
+    has the weights, values and killed weights of its global character."""
+    (u1, u2), (v1, v2), (x, y) = chart.u, chart.v, spec
+    return u1 * x + u2 * y, v1 * x + v2 * y
 
-    It reads the local character at the chart's own weights (u.spec, v.spec):
-    on a unimodular cone (a, b) -> a u + b v is a bijection of Z^2, and
-    (a u + b v).spec = a (u.spec) + b (v.spec), so the weights, their values
-    and the killed ones are those of the global character.
-    """
-    x, y = spec
-    local = (u[0] * x + u[1] * y, v[0] * x + v[1] * y)
+
+def _local_twist(chart, bundle):
+    """The bundle's shift (<w, r1>, <w, r2>) of the chart's exponents, for
+    its weight w on the chart and the chart's rays r1, r2, the dual basis of
+    (u, v): w = <w, r1> u + <w, r2> v."""
+    (w1, w2), ((a1, a2), (b1, b2)) = bundle.weights[chart.index], chart.rays
+    return w1 * a1 + w2 * a2, w1 * b1 + w2 * b2
+
+
+@lru_cache(maxsize=None)
+def _tangent_euler(local, outer, inner):
+    """Integer Euler factors (num, den) of one chart's virtual tangent at the
+    nested pair (outer, inner), read at the chart's own weights `local`,
+    raising at a pole like `euler_factors`."""
     return euler_factors(virtual_tangent_character(NestedPair(outer, inner)), local)
+
+
+def _net_integrand(block, nums, dens):
+    """The chart block twisted by each local shift of nums, less the block
+    twisted by each of dens, netted in one dict: a dens block cancels the
+    weights that it shares with a nums block, so a killed weight raises
+    only where its net multiplicity on the chart is nonzero."""
+    net = {}
+    for shifts, sign in ((nums, 1), (dens, -1)):
+        for s1, s2 in shifts:
+            for (a, b), mult in block.terms.items():
+                weight = (a + s1, b + s2)
+                net[weight] = net.get(weight, 0) + sign * mult
+    return LaurentPoly(net)
 
 
 # ---------------------------------------------------------------------------
@@ -133,34 +165,21 @@ def _chart_table(chart, nums, dens, keys, spec, cap):
     D_c), where entry / D_c is the sum of c(integrand) / e(tangent) over the
     nested pairs of sizes (a, b) on this chart.
 
-    Like `_tangent_euler` it reads each block at the chart's own exponents:
-    a bundle of weight w twists it by the local shift (<w, r1>, <w, r2>) for
-    the chart's rays r1, r2, the dual basis of (u, v).  The multiplicities of
-    the integrand are netted in one dict per pair, nums counted + and dens -,
-    so a dens block cancels the weights that it shares with a nums block
-    before `chern_poly` reads them at (u.spec, v.spec).
+    Like `_tangent_euler` it reads each block at the chart's own exponents,
+    twisted by each bundle's local shift and netted by `_net_integrand`,
+    and `chern_poly` reads the net character at the chart's own weights.
 
     With e = num / den, D_c = lcm(|num|) over the chart's pairs, and each
     pair adds its integer Chern coefficients times den * (D_c // num)."""
-    u, v, (r1, r2) = chart.u, chart.v, chart.rays
-    x, y = spec
-    local = (u[0] * x + u[1] * y, v[0] * x + v[1] * y)
-    twists = [
-        (w[0] * r1[0] + w[1] * r1[1], w[0] * r2[0] + w[1] * r2[1], sign)
-        for bundles, sign in ((nums, 1), (dens, -1))
-        for w in (m.weights[chart.index] for m in bundles)
-    ]
+    local = _local_weights(chart, spec)
+    nums = [_local_twist(chart, m) for m in nums]
+    dens = [_local_twist(chart, m) for m in dens]
     terms = []
     for key in keys:
         for pair in enumerate_nested_pairs(*key):
-            num, den = _tangent_euler(u, v, pair.outer, pair.inner, spec)
-            block = block_character(pair.outer, pair.inner).terms.items()
-            net = {}
-            for s1, s2, sign in twists:
-                for (a, b), mult in block:
-                    weight = (a + s1, b + s2)
-                    net[weight] = net.get(weight, 0) + sign * mult
-            terms.append((key, chern_poly(LaurentPoly(net), local, cap).coeffs, num, den))
+            num, den = _tangent_euler(local, pair.outer, pair.inner)
+            net = _net_integrand(block_character(pair.outer, pair.inner), nums, dens)
+            terms.append((key, chern_poly(net, local, cap).coeffs, num, den))
     denom = lcm(*(abs(num) for _, _, num, _ in terms))
     table = {key: [0] * (cap + 1) for key in keys}
     for key, coeffs, num, den in terms:
@@ -197,19 +216,19 @@ def _nested_sums(surface, nums, dens, grid, spec):
 
 
 @lru_cache(maxsize=None)
-def _top_table(u, v, shift, spec):
-    """Top Chern classes of one chart's blocks, twisted by the bundle weight
-    `shift` (None: untwisted), as a cached function of (mu_a, mu_b).  A
-    block is a genuine character, so each is the product of its weights, 0
-    at a trivial weight, and a weight that the specialization kills raises
-    (`euler_factors`): nothing can cancel it.  A raising entry is not
-    cached, so every read of it raises again."""
+def _top_table(local, shift):
+    """Top Chern classes of one chart's blocks at its own weights `local`,
+    twisted by the local shift `shift` (None: untwisted), as a cached
+    function of (mu_a, mu_b).  A block is a genuine character, so each is
+    the product of its weights, 0 at a trivial weight, and a weight that
+    the specialization kills raises (`euler_factors`): nothing can cancel
+    it.  A raising entry is not cached, so every read of it raises again."""
 
     @cache
     def top(mu_a, mu_b):
-        block = _global_block(u, v, mu_a, mu_b)
+        block = block_character(mu_a, mu_b)
         try:
-            return euler_factors(block if shift is None else block.shift(shift), spec)[0]
+            return euler_factors(block if shift is None else block.shift(shift), local)[0]
         except TrivialWeightError:
             return 0
 
@@ -217,21 +236,14 @@ def _top_table(u, v, shift, spec):
 
 
 @lru_cache(maxsize=None)
-def _integrand_table(u, v, nums, dens, spec, cap):
-    """Power sums and dead weights (`power_sums`) of one chart's integrand
-    at (mu_a, mu_b), as a cached function: the block twisted by each bundle
-    weight of `nums`, less the block twisted by each of `dens`, so that a
-    dens block cancels the weights that it shares with a nums block."""
+def _integrand_table(local, nums, dens, cap):
+    """Power sums (`power_sums`) at the chart's own weights `local` of one
+    chart's integrand, netted by `_net_integrand` over the local shifts nums
+    and dens, as a cached function of (mu_a, mu_b)."""
 
     @cache
     def integrand(mu_a, mu_b):
-        block = _global_block(u, v, mu_a, mu_b)
-        net = LaurentPoly.zero()
-        for shift in nums:
-            net += block.shift(shift)
-        for shift in dens:
-            net -= block.shift(shift)
-        return power_sums(net, spec, cap)
+        return power_sums(_net_integrand(block_character(mu_a, mu_b), nums, dens), local, cap)
 
     return integrand
 
@@ -244,40 +256,33 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     nums/dens contribute total Chern classes tracked in the formal grading.
     The grading degree left for extraction is (2 - len(tops)) * (n1 + n2).
 
-    At a fixed specialization power sums add and Chern and Euler classes
-    multiply over the charts, so every point reads its chart factors from
-    one cached function per chart and top factor, and one per chart for the
-    integrand.  It multiplies the chart Euler numbers of each top factor,
-    reading every chart, so that a weight killed in one chart raises even
-    where another chart's factor is 0.  Only where all top factors are
-    nonzero does it read the tangent, the product of the Euler factors of
-    the Hilbert-scheme tangents at tup1 and at tup2, each cached once per
-    partition tuple, and add up the chart power sums of the integrand, over
-    one integer denominator and one Fraction per coefficient at the end.
-    Only the integrand, whose dens blocks can cancel nums blocks, nets the
-    weights that the specialization kills over the charts; the others raise.
+    Power sums add and Chern and Euler classes multiply over the charts, so
+    every point reads its chart factors from one cached chart-frame function
+    per chart and top factor, and one per chart for the integrand.  It
+    multiplies the chart Euler numbers of each top factor, reading every
+    chart, so that a weight killed in one chart raises even where another
+    chart's factor is 0.  Only where all top factors are nonzero does it
+    read the Hilbert-scheme tangents at tup1 and tup2, each cached once per
+    tuple, and add up the chart power sums of the integrand, over one
+    integer denominator and one Fraction per coefficient at the end.
     """
     cap = max((2 - len(tops)) * (n1 + n2), 0)
-    charts = surface.charts
+    charts = [(c, _local_weights(c, spec)) for c in surface.charts]
     top_tables = [
-        (swap, [_top_table(c.u, c.v, None if b is None else b.weights[c.index], spec)
-                for c in charts])
+        (swap, [_top_table(local, None if b is None else _local_twist(c, b))
+                for c, local in charts])
         for b, swap in tops
     ]
     integrand_tables = [
-        _integrand_table(c.u, c.v, tuple(m.weights[c.index] for m in nums),
-                         tuple(m.weights[c.index] for m in dens), spec, cap)
-        for c in charts
+        _integrand_table(local, tuple(_local_twist(c, m) for m in nums),
+                         tuple(_local_twist(c, m) for m in dens), cap)
+        for c, local in charts
     ]
 
     @cache
     def tangent(tup):
-        num = den = 1
-        for c, mu in zip(charts, tup):
-            n, d = _tangent_euler(c.u, c.v, mu, mu, spec)
-            num *= n
-            den *= d
-        return num, den
+        factors = [_tangent_euler(local, mu, mu) for (_, local), mu in zip(charts, tup)]
+        return prod(n for n, _ in factors), prod(d for _, d in factors)
 
     acc = [0] * (cap + 1)
     denom = 1
@@ -292,15 +297,7 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
             continue
         (num1, den1), (num2, den2) = tangent(tup1), tangent(tup2)
         num, den = num1 * num2, den1 * den2
-        p = [0] * (cap + 1)
-        net = {}
-        for chart_p, dead in map(call, integrand_tables, tup1, tup2):
-            p = list(map(add, p, chart_p))
-            for weight, mult in dead.items():
-                net[weight] = net.get(weight, 0) + mult
-        if any(net.values()):
-            raise DegenerateSpecializationError("degenerate specialization")
-        e = newton_chern(p)
+        e = newton_chern(list(map(sum, zip(*map(call, integrand_tables, tup1, tup2)))))
         # add scalar * den / num * e to acc / denom
         if num < 0:
             num, den = -num, -den
@@ -455,7 +452,7 @@ def closed_form_series(surface, bundle, cap):
 def gottsche_product_coefficients(euler, nmax):
     """Coefficients of prod_{n>0} (1 - q^n)^(-euler) up to q^nmax."""
     diagonal = product_formula([((1, 1), -euler)], 2 * nmax)
-    return [int(diagonal.coeff(n, n)) for n in range(nmax + 1)]
+    return [diagonal.coeff(n, n) for n in range(nmax + 1)]
 
 
 def gottsche_fixed_point_counts(surface, nmax):

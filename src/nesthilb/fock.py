@@ -194,7 +194,7 @@ def gamma_commutation_check(lattice, m1, m2, cap):
     minus = gamma_operator(lattice, -1, m1, cap)
     for n in range(cap + 1):
         window = cap - n
-        binomial = [int(c) for c in linear_power(1, p, window).coeffs]
+        binomial = linear_power(1, p, window).coeffs
         keep = lambda terms: {k: c for k, c in terms.items() if c and k[1] <= window}
         for state in basis_states(lattice.rank, n):
             lhs, rhs = {}, {}

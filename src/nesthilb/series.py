@@ -181,7 +181,6 @@ def product_formula(factors, cap):
     for (d1, d2), r in factors:
         if d1 + d2 <= 0:
             raise ValueError("factor monomials must have positive total degree")
-        r = Fraction(r)
         if r == 0:
             continue
         for n in range((cap - d1 - d2) // 2 + 1):
@@ -250,12 +249,15 @@ class GradedPoly:
 
 
 def linear_power(weight, mult, cap):
-    """(1 + weight * g)^mult as a GradedPoly, mult an integer or a Fraction.
-
-    A negative or fractional mult expands the binomial series; truncation
-    at cap.
-    """
-    coeffs = [1]
+    """(1 + weight * g)^mult truncated at cap, C(mult, k) weight^k in degree k:
+    an integer mult, negative included, takes the exact integer recurrence
+    C(mult, k) = C(mult, k - 1) (mult - k + 1) / k, a Fraction mult takes it
+    over Fraction."""
+    coeffs, binomial = [1], 1
     for k in range(1, cap + 1):
-        coeffs.append(coeffs[-1] * Fraction(mult - (k - 1), k) * weight)
+        if isinstance(mult, int):
+            binomial = binomial * (mult - k + 1) // k
+        else:
+            binomial *= Fraction(mult - k + 1, k)
+        coeffs.append(binomial * weight**k)
     return GradedPoly(cap, coeffs)

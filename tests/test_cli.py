@@ -300,6 +300,27 @@ def test_bad_bundle_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("label", [
+    # int() reads each coefficient, but none is the canonical spelling str(a)
+    "O(1_0)", "O(\u0661)", "O(+1)", "O(01)", "O(1, 0)", "O(-0)", "1_0,0,0",
+])
+def test_noncanonical_bundle_coefficients_are_usage_errors(capsys, label):
+    code, text = run_cli(
+        ["integrate", "--surface", "p2", "--bundle", label, "--n1", "1", "--n2", "0"]
+    )
+    assert (code, text) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: cannot parse bundle {label!r}\n"
+
+
+@pytest.mark.parametrize("label, value", [("O(1)", "12"), ("O(-1,0)", "6"), ("1,0,0", "12")])
+def test_canonical_bundle_coefficients_are_read(label, value):
+    code, text = run_cli(
+        ["integrate", "--surface", "p2", "--bundle", label, "--n1", "1", "--n2", "0"]
+    )
+    (record,) = json.loads(text)["records"]
+    assert (code, record["bundle"], record["value"]["num"]) == (0, label, value)
+
+
 def test_localization_failure_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(engine, "draw_specialization", lambda rng: (Fraction(1), Fraction(-1)))
     code, text = run_cli(["integrate", "--surface", "p2", "--n1", "1", "--n2", "0"])

@@ -196,10 +196,7 @@ def _global_chart_table(chart, nums, dens, keys, spec, cap):
                 integrand = integrand + block.shift(m.weights[chart.index])
             for m in dens:
                 integrand = integrand - block.shift(m.weights[chart.index])
-            p, dead = power_sums(integrand, spec, cap)
-            if dead:
-                raise DegenerateSpecializationError("degenerate specialization")
-            terms.append((key, newton_chern(p), num, den))
+            terms.append((key, newton_chern(power_sums(integrand, spec, cap)), num, den))
     denom = lcm(*(abs(num) for _, _, num, _ in terms))
     table = {key: [0] * (cap + 1) for key in keys}
     for key, coeffs, num, den in terms:
@@ -307,8 +304,8 @@ def test_local_tangent_euler_reads_the_global_weights(surface_bundle):
                     tangent = virtual_tangent_character(pair).substitute(c.u, c.v)
                     for spec in ((13, 29), (1, 1), (1, -1), (2, 1)):
                         expected = _outcome(lambda: euler_factors(tangent, spec))
-                        got = _outcome(lambda: engine._tangent_euler(c.u, c.v, pair.outer,
-                                                                     pair.inner, spec))
+                        local = engine._local_weights(c, spec)
+                        got = _outcome(lambda: engine._tangent_euler(local, pair.outer, pair.inner))
                         assert got == expected, (c.index, pair, spec)
 
 
@@ -328,6 +325,30 @@ def test_local_keys_are_the_chart_components(name):
     assert engine._local_keys(grid) == sorted(grid)
 
 
+def _assert_product_kernel_matches(surface, integrands, sizes, specs):
+    """At every product fixed point of each size, `_product_sum` gives the
+    summand of the global characters, or raises the same error.  Returns the
+    outcomes and the number of summands with a value whose dens blocks hold
+    a killed weight, which the nums blocks must have cancelled."""
+    outcomes, cancelled = set(), 0
+    for n1, n2 in sizes:
+        for spec in specs:
+            for tops, nums, dens in integrands:
+                for point in engine.enumerate_product_fixed_points(surface, n1, n2):
+                    args = (surface, tops, nums, dens, n1, n2, spec)
+                    expected = _outcome(lambda: _assembled_point(*args, point))
+                    assert _outcome(lambda: engine._product_sum(*args, [point])) == expected, (
+                        spec, tops, point)
+                    outcomes.add(expected if isinstance(expected, type) else "value")
+                    killed = DegenerateSpecializationError
+                    if not isinstance(expected, type) and any(
+                        _outcome(lambda: power_sums(block, spec, 0)) is killed
+                        for m in dens for block in _chart_blocks(surface, m, *point)
+                    ):
+                        cancelled += 1
+    return outcomes, cancelled
+
+
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
 def test_product_kernel_matches_assembled_characters(name):
     """At every product fixed point of (2, 1) and (3, 1), the power sums and
@@ -340,52 +361,58 @@ def test_product_kernel_matches_assembled_characters(name):
     d = surface.line_bundle([0, 2] + [0] * (k - 2))
     integrands = [
         (engine._NESTED_LOCUS, [h], []),
-        # the h blocks cancel: a weight that one of them loses is no dead weight
+        # the h blocks cancel: a weight that one of them loses does not raise
         (engine._NESTED_LOCUS, [h, surface.canonical_bundle()], [h]),
         (((h, False), (d, True)), [], []),
     ]
-    outcomes, cancelled = set(), 0
-    for n1, n2 in ((2, 1), (3, 1)):
-        for spec in ((13, 29), (1, 1), (1, -1), (2, 1)):
-            for tops, nums, dens in integrands:
-                for point in engine.enumerate_product_fixed_points(surface, n1, n2):
-                    args = (surface, tops, nums, dens, n1, n2, spec)
-                    expected = _outcome(lambda: _assembled_point(*args, point))
-                    assert _outcome(lambda: engine._product_sum(*args, [point])) == expected, (
-                        spec, tops, point)
-                    outcomes.add(expected if isinstance(expected, type) else "value")
-                    if dens and not isinstance(expected, type) and any(
-                        power_sums(engine._global_block(c.u, c.v, point[0][c.index],
-                                                        point[1][c.index]).shift(h.weights[c.index]),
-                                   spec, 0)[1]
-                        for c in surface.charts
-                    ):
-                        cancelled += 1
+    outcomes, cancelled = _assert_product_kernel_matches(
+        surface, integrands, ((2, 1), (3, 1)), ((13, 29), (1, 1), (1, -1), (2, 1)))
     assert outcomes == {"value", DegenerateSpecializationError}
     assert cancelled
 
 
-def _chart_blocks(surface, weights, tup_a, tup_b):
+def test_product_kernel_matches_assembled_characters_on_random_surfaces():
+    """The chart-frame product kernel equals the global assembly on random
+    surfaces and bundles, at every product fixed point of (1, 1) and (2, 1),
+    for [M], [M, K]/[M] and a swapped two-top pairing; some summand raises
+    at the spec (1, -1)."""
+    outcomes = set()
+
+    @settings(max_examples=15, deadline=None)
+    @given(surfaces_with_bundles())
+    def check(surface_bundle):
+        surface, m = surface_bundle
+        k = surface.canonical_bundle()
+        integrands = [
+            (engine._NESTED_LOCUS, [m], []),
+            (engine._NESTED_LOCUS, [m, k], [m]),
+            (((m, False), (k, True)), [], []),
+        ]
+        outcomes.update(_assert_product_kernel_matches(
+            surface, integrands, ((1, 1), (2, 1)), ((13, 29), (1, -1)))[0])
+
+    check()
+    assert DegenerateSpecializationError in outcomes
+
+
+def _chart_blocks(surface, bundle, tup_a, tup_b):
     """The fiber blocks from tup_a to tup_b, one per chart, twisted by
-    `weights` (None: untwisted)."""
+    `bundle` (None: untwisted)."""
     blocks = []
     for c in surface.charts:
         block = engine._global_block(c.u, c.v, tup_a[c.index], tup_b[c.index])
-        blocks.append(block if weights is None else block.shift(weights[c.index]))
+        blocks.append(block if bundle is None else block.shift(bundle.weights[c.index]))
     return blocks
 
 
 def _newton_top(blocks, spec, top):
     """newton_chern of the summed power sums of the chart blocks, read at
     degree top: the reference for the product route's top factor."""
-    p, dead = power_sums(sum(blocks[1:], blocks[0]), spec, top)
-    if dead:
-        raise DegenerateSpecializationError("degenerate specialization")
-    return newton_chern(p)[top]
+    return newton_chern(power_sums(sum(blocks[1:], blocks[0]), spec, top))[top]
 
 
 def _top_factor_cases(surface):
-    """(weights, tup_a, tup_b, spec, top) at every product fixed point of
+    """(bundle, tup_a, tup_b, spec, top) at every product fixed point of
     (2, 1) and (3, 1): the untwisted nested-locus factor and a twisted,
     swapped pairing factor."""
     d = surface.line_bundle([0, 2] + [0] * (len(surface.charts) - 2))
@@ -393,7 +420,7 @@ def _top_factor_cases(surface):
         for spec in ((13, 29), (1, 1), (1, -1)):
             for tup1, tup2 in engine.enumerate_product_fixed_points(surface, n1, n2):
                 yield None, tup1, tup2, spec, n1 + n2
-                yield d.weights, tup2, tup1, spec, n1 + n2
+                yield d, tup2, tup1, spec, n1 + n2
 
 
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
@@ -403,13 +430,14 @@ def test_top_factor_matches_newton(name):
     sums, or raises the same error."""
     surface = builtin_surface(name)
     outcomes = set()
-    for weights, tup_a, tup_b, spec, top in _top_factor_cases(surface):
-        blocks = _chart_blocks(surface, weights, tup_a, tup_b)
+    for bundle, tup_a, tup_b, spec, top in _top_factor_cases(surface):
+        blocks = _chart_blocks(surface, bundle, tup_a, tup_b)
         expected = _outcome(lambda: _newton_top(blocks, spec, top))
-        tables = [engine._top_table(c.u, c.v, None if weights is None else weights[c.index], spec)
+        tables = [engine._top_table(engine._local_weights(c, spec),
+                                    None if bundle is None else engine._local_twist(c, bundle))
                   for c in surface.charts]
         got = _outcome(lambda: prod([table(*key) for table, key in zip(tables, zip(tup_a, tup_b))]))
-        assert got == expected, (weights, tup_a, tup_b, spec)
+        assert got == expected, (bundle, tup_a, tup_b, spec)
         outcomes.add(expected if isinstance(expected, type) else bool(expected))
     assert outcomes == {True, False, DegenerateSpecializationError}
 
@@ -520,6 +548,19 @@ def test_closed_form_series_spot_values():
     assert s.coeff(1, 1) == 3
     assert s.coeff(2, 0) == 36
     assert s.coeff(2, 1) == 36
+
+
+@pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)", "hirzebruch(-3)"])
+def test_closed_products_are_integers(name):
+    """The closed products of integer Chern numbers hold ints, not Fractions
+    with denominator 1."""
+    surface = builtin_surface(name)
+    k = len(surface.charts)
+    for bundle in (surface.structure_sheaf(), surface.line_bundle([1] + [0] * (k - 1)),
+                   surface.canonical_bundle()):
+        series = engine.closed_form_series(surface, bundle, 6)
+        assert all(type(c) is int for c in series.terms.values()), bundle
+    assert all(type(c) is int for c in engine.gottsche_product_coefficients(k, 6))
 
 
 def test_series_matches_closed_form_to_degree_three():

@@ -88,6 +88,15 @@ def test_linear_power_positive():
     assert g.coeffs[3] == 0
 
 
+def test_linear_power_integer_mult_stays_integral():
+    # (1 + 3g)^-2 = sum C(-2, k) 3^k g^k = sum (-1)^k (k + 1) 3^k g^k
+    g = linear_power(3, -2, 5)
+    assert g.coeffs == [(-1) ** k * (k + 1) * 3**k for k in range(6)]
+    assert all(type(c) is int for c in g.coeffs)
+    assert linear_power(-1, 3, 5).coeffs == [1, -3, 3, -1, 0, 0]
+    assert linear_power(1, Fraction(1, 2), 2).coeffs == [1, Fraction(1, 2), Fraction(-1, 8)]
+
+
 def test_linear_power_negative_is_inverse():
     w = Fraction(5, 2)
     a = linear_power(w, 3, 6)
