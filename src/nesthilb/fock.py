@@ -28,16 +28,18 @@ Every coefficient is an int.  `apply_alpha` builds a map
 {state: int} -> {(state, k): int} whose key carries the power k of z,
 so a formal variable is an integer exponent, never a polynomial slot.
 A relation check builds each operator once and applies it to every
-basis state.
+basis state of the full-rank space; the graded trace is taken one
+alphabet at a time, since every factor of it acts on each alphabet alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
 
 from .partitions import partition_tuples
 from .series import linear_power, product_formula
-from .symmetric import exp_series, grading, power_sum, product, shift_map, splits
+from .symmetric import exp_series, grading, insert, power_sum, product, shift_map, splits
 from .toric import check_bundle, intersection_number
 
 
@@ -78,20 +80,23 @@ class Lattice:
         )
         return (0, *divisors, 0)
 
+    def check(self, v):
+        """The vector v, whose length must be the rank: more entries name no alphabet."""
+        if len(v) != self.rank:
+            raise FockError(f"vector {tuple(v)} has length {len(v)}, not the rank {self.rank}")
+        return v
+
     def pair(self, u, v):
-        return sum(
-            self.pairing[i][j] * u[i] * v[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        u, v = self.check(u), self.check(v)
+        return sum(self.pairing[i][j] * a * b for i, a in enumerate(u) for j, b in enumerate(v))
 
     def pair_basis(self, u, j):
         """Pairing of a vector with the j-th basis vector."""
-        return sum(self.pairing[i][j] * u[i] for i in range(self.rank))
+        return sum(self.pairing[i][j] * c for i, c in enumerate(self.check(u)))
 
     def dual(self, v):
         """The Serre-dual vector K - v."""
-        return tuple(k - c for k, c in zip(self.canonical, v))
+        return tuple(k - c for k, c in zip(self.canonical, self.check(v)))
 
     def zero(self):
         return (0,) * self.rank
@@ -113,33 +118,31 @@ def basis_states(rank, n):
     ))
 
 
-def _lowering(lattice, v):
-    """Gamma_+(v) on basis states, with z^(-r) for a grading drop r left to the caller."""
-    return shift_map([lattice.pair_basis(v, j) for j in range(lattice.rank)])
-
-
 def apply_alpha(lattice, m, v, cap):
     """alpha_m(v) as a map {state: int} -> {state: int}; creation drops
     states graded above cap, and zero coefficients may remain."""
     if m == 0:
         raise FockError("mode must be nonzero")
     if m < 0:
-        terms = [(p, c * k) for i, c in enumerate(v) if c for p, k in power_sum(-m, i).items()]
+        terms = [(p, c * k) for i, c in enumerate(lattice.check(v)) if c
+                 for p, k in power_sum(-m, i).items()]
     else:
         pairs = [(-1) ** (m - 1) * lattice.pair_basis(v, j) for j in range(lattice.rank)]
 
     def op(x):
         out = {}
         for state, coeff in x.items():
-            if m < 0 and grading(state) - m <= cap:
+            if m > 0:
+                for j in range(bisect(state, (m,)), len(state)):  # the factors of mode >= m
+                    mode, idx = state[j]
+                    if pairs[idx]:
+                        rest = state[:j] + state[j + 1 :]
+                        key = insert(rest, (mode - m, idx)) if mode > m else rest
+                        out[key] = out.get(key, 0) + coeff * pairs[idx]
+            elif grading(state) - m <= cap:
                 for p, k in terms:
                     key = product(state, p)
                     out[key] = out.get(key, 0) + coeff * k
-            for j, (mode, idx) in enumerate(state if m > 0 else ()):
-                if mode >= m and pairs[idx]:
-                    lowered = ((mode - m, idx),) if mode > m else ()
-                    key = product(state[:j] + state[j + 1 :], lowered)
-                    out[key] = out.get(key, 0) + coeff * pairs[idx]
         return out
 
     return op
@@ -156,9 +159,9 @@ def gamma_operator(lattice, sign, v, cap):
     if sign not in (1, -1):
         raise FockError("sign must be +1 or -1")
     if sign < 0:
-        series = exp_series(v, cap)
+        series = exp_series(lattice.check(v), cap)
     else:
-        image = _lowering(lattice, v)
+        image = shift_map([lattice.pair_basis(v, j) for j in range(lattice.rank)])
 
     def op(x):
         out = {}
@@ -226,30 +229,42 @@ def qn_conjugation_check(lattice, v, cap):
 
 
 def w_trace(lattice, m1, m2, cap):
-    """Graded trace of q^N composed with both twisted correspondence operators.
+    """Graded trace of q^N W(M2)(1/z1) W(M1)(z1), W(M) = Gamma_-(-M,-z) Gamma_+(-M^D,z).
 
-    Applies W(M2)(1/z1) W(M1)(z1) with W(M) = Gamma_-(-M,-z) Gamma_+(-M^D,z)
-    to every basis state of grading n1 <= cap and reads off the diagonal.
-    Each operator moves z1's exponent with the grading, so a term that
-    passes through a state of grading n2 after W(M1) carries
-    q^n1 z1^(2(n2-n1)): it lands in the (n1, n2) cell, and the arithmetic
-    is on integers alone.  Only the diagonal of the last Gamma_- is
-    formed: on a state it is the sum of G[state - s] y[s] over the
-    sub-multisets s of the state.  Returns {(n1, n2): int} over the box
-    n1, n2 <= cap, which is the exact window under the grading cap.
+    Every factor acts on each alphabet alone and the Fock space is the
+    tensor product of the alphabets' rings, so the trace is the product of
+    the rank-1 traces: their boxes convolve.  Returns {(n1, n2): int} over
+    the box n1, n2 <= cap, the exact window under the grading cap.
     """
-    neg = lambda v: tuple(-c for c in v)
-    lower1 = _lowering(lattice, neg(lattice.dual(m1)))
-    lower2 = _lowering(lattice, neg(lattice.dual(m2)))
-    # Gamma_-(-M, -z): the degree-d part of prod H^(-M) picks up (-1)^d
-    signed = lambda v: [
-        {g: (-1) ** d * c for g, c in part.items()} for d, part in enumerate(exp_series(neg(v), cap))
-    ]
+    box = {(0, 0): 1}
+    for i in range(lattice.rank):
+        factor = _alphabet_trace(lattice, m1, m2, i, cap)
+        out = {}
+        for (a1, a2), c in box.items():
+            for (b1, b2), d in factor.items():
+                if a1 + b1 <= cap and a2 + b2 <= cap:
+                    out[a1 + b1, a2 + b2] = out.get((a1 + b1, a2 + b2), 0) + c * d
+        box = out
+    return {k: v for k, v in box.items() if v}
+
+
+def _alphabet_trace(lattice, m1, m2, i, cap):
+    """w_trace on the i-th alphabet, whose states are basis_states(1, n).
+
+    A term through a state of grading n2 after W(M1) carries
+    q^n1 z1^(2(n2-n1)), so it lands in the (n1, n2) cell.  Only the diagonal
+    of the last Gamma_- is formed: the sum of G[state - s] y[s] over the
+    sub-multisets s of the state.
+    """
+    # Gamma_+(-M^D, z) has the weight <-M^D, e_i>; Gamma_-(-M, -z) signs degree d by (-1)^d
+    lower1, lower2 = (shift_map([-lattice.pair_basis(lattice.dual(m), i)]) for m in (m1, m2))
+    signed = lambda m: [{g: (-1) ** d * c for g, c in part.items()}
+                        for d, part in enumerate(exp_series((-m[i],), cap))]
     raise1 = signed(m1)
     raise2 = {g: c for part in signed(m2) for g, c in part.items()}
     box = {}
     for n in range(cap + 1):
-        for state in basis_states(lattice.rank, n):
+        for state in basis_states(1, n):
             diag = [(s, raise2[rest]) for s, rest in splits(state) if rest in raise2]
             mid = {}
             for a, ca in lower1(state).items():
@@ -263,7 +278,7 @@ def w_trace(lattice, m1, m2, cap):
                 if cb and t:
                     key = (n, grading(b))
                     box[key] = box.get(key, 0) + cb * t
-    return {k: v for k, v in box.items() if v}
+    return box
 
 
 def trace_product_series(lattice, m1, m2, cap):
@@ -285,11 +300,8 @@ def trace_matches_product(lattice, m1, m2, cap):
     """Compare the Fock-side trace with the closed product on the cap box."""
     box = w_trace(lattice, m1, m2, cap)
     series = trace_product_series(lattice, m1, m2, cap)
-    for n1 in range(cap + 1):
-        for n2 in range(cap + 1):
-            if box.get((n1, n2), 0) != series.coeff(n1, n2):
-                return False
-    return True
+    cells = [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1)]
+    return all(box.get(cell, 0) == series.coeff(*cell) for cell in cells)
 
 
 def heisenberg_check(lattice, cap):
@@ -305,14 +317,14 @@ def heisenberg_check(lattice, cap):
     for grade in range(cap + 1):
         for state in basis_states(lattice.rank, grade):
             x = {state: 1}
+            ups = {n: [alpha[n, i](x) for i in rank] for n in range(-cap, 0)}
             for m in range(1, cap + 1):
                 down = [alpha[m, i](x) for i in rank]
                 for n in (-m, m - cap - 1):
-                    up = [alpha[n, i](x) for i in rank]
                     for gi in rank:
                         for gj in rank:
-                            comm = alpha[m, gi](up[gj])
-                            for s, c in alpha[n, gj](down[gi]).items():
+                            comm = alpha[m, gi](ups[n][gj])
+                            for s, c in alpha[n, gj](down[gi]).items() if down[gi] else ():
                                 comm[s] = comm.get(s, 0) - c
                             want = (-1) ** (m - 1) * m * lattice.pairing[gi][gj] if n == -m else 0
                             comm[state] = comm.get(state, 0) - want

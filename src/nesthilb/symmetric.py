@@ -10,12 +10,20 @@ is one such dict per degree.  Nothing here divides except exactly.
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
 from itertools import groupby
+from operator import itemgetter
 
 
 def grading(state):
-    return sum(mode for mode, _ in state)
+    return sum(map(itemgetter(0), state))
+
+
+def insert(state, factor):
+    """The monomial state * factor, for one factor, without re-sorting."""
+    k = bisect(state, factor)
+    return state[:k] + (factor,) + state[k:]
 
 
 def product(a, b):
@@ -29,7 +37,7 @@ def power_sum(n, i):
     out = {((n, i),): n}
     for r in range(1, n):
         for state, c in power_sum(r, i).items():
-            key = product(state, ((n - r, i),))
+            key = insert(state, (n - r, i))
             out[key] = out.get(key, 0) - c
     return {state: c for state, c in out.items() if c}
 
@@ -82,14 +90,14 @@ def shift_map(weights):
             gen = gens.get((mode, i))
             if gen is None:
                 gen = gens[mode, i] = [
-                    (((mode - r, i),) if r < mode else (), b)
+                    ((mode - r, i) if r < mode else None, b)
                     for r, b in enumerate(binomials(weights[i], mode))
                     if b
                 ]
             step = {}
             for s, a in out.items():
                 for g, b in gen:
-                    key = product(s, g)
+                    key = insert(s, g) if g else s
                     step[key] = step.get(key, 0) + a * b
             k += 1
             out = images[state[:k]] = step

@@ -78,6 +78,52 @@ def test_mode_zero_rejected():
         apply_alpha(P2, 0, (0, 1, 0), 4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: apply_alpha(P2, -1, (0, 1, 0, 2), 3),
+    lambda: apply_alpha(P2, 1, (0, 1), 3),
+    lambda: gamma_operator(P2, -1, (0, 1, 0, 2), 3),
+    lambda: gamma_operator(P2, 1, (0, 1), 3),
+    lambda: P2.dual((0, 1)),
+    lambda: P2.pair((0, 1, 0), (0, 1, 0, 0)),
+    lambda: P2.pair_basis((0, 1), 0),
+    lambda: fock.w_trace(P2, (0, 1), (0, 2, 0), 3),
+    lambda: fock.gamma_commutation_check(P2, (0, 1, 0, 1), (1, 2, 0), 2),
+    lambda: fock.qn_conjugation_check(P2, (0, 1), 2),
+    lambda: fock.trace_matches_product(P2, (0, 1, 0), (0, 2, 0, 0), 2),
+], ids=["creation", "annihilation", "gamma_minus", "gamma_plus", "dual", "pair", "pair_basis",
+        "w_trace", "gamma_exchange", "qn_conjugation", "trace_matches_product"])
+def test_wrong_length_vectors_are_rejected(call):
+    """A vector on a rank-3 lattice has three coordinates: a fourth would name
+    an alphabet the Fock space does not have, and a missing one is not zero."""
+    with pytest.raises(fock.FockError, match="not the rank 3"):
+        call()
+
+
+def _alpha_reference(lattice, m, v, x):
+    """alpha_m(v), m > 0, on every factor of every state, re-sorted by symmetric.product."""
+    pairs = [(-1) ** (m - 1) * lattice.pair_basis(v, j) for j in range(lattice.rank)]
+    out = {}
+    for state, coeff in x.items():
+        for j, (mode, idx) in enumerate(state):
+            if mode >= m and pairs[idx]:
+                lowered = ((mode - m, idx),) if mode > m else ()
+                key = symmetric.product(state[:j] + state[j + 1 :], lowered)
+                out[key] = out.get(key, 0) + coeff * pairs[idx]
+    return out
+
+
+@pytest.mark.parametrize("lattice", [P2, QUAD], ids=["p2", "p1xp1"])
+def test_annihilation_matches_sorting_reference(lattice):
+    v = (1, 2, -1, 3)[: lattice.rank]  # every basis vector pairs nonzero with v
+    states = [s for n in range(6) for s in fock.basis_states(lattice.rank, n)]
+    for m in (1, 2, 3):
+        op = apply_alpha(lattice, m, v, 5)
+        for state in states:
+            out = op({state: 3})
+            assert out == _alpha_reference(lattice, m, v, {state: 3}), (m, state)
+            assert all(key == tuple(sorted(key)) and type(c) is int for key, c in out.items())
+
+
 def test_heisenberg_relations_to_grading_four():
     assert fock.heisenberg_check(P2, 4)
 
@@ -126,7 +172,7 @@ def test_relation_checks_stay_small_in_memory(check):
 
 
 def test_relation_checks_catch_a_flipped_sign(monkeypatch):
-    """Each relation check fails once one sign of the model is flipped."""
+    """Each relation check fails once one sign or index of the model is flipped."""
     with monkeypatch.context() as m:
         # the derivation's coefficient (-1)^(n-1) <g, e_j> changes sign
         pair_basis = Lattice.pair_basis
@@ -138,6 +184,12 @@ def test_relation_checks_catch_a_flipped_sign(monkeypatch):
         m.setattr(symmetric, "binomials", lambda c, n: [(-1) ** r * b for r, b in enumerate(binomials(c, n))])
         assert not fock.gamma_commutation_check(P2, (0, 1, 0), (1, 2, 0), 2)
     with monkeypatch.context() as m:
+        # Gamma_+ reads the pairing with the reversed basis vector on each alphabet
+        pair_basis = Lattice.pair_basis
+        reversed_index = lambda lattice, u, j: pair_basis(lattice, u, lattice.rank - 1 - j)
+        m.setattr(Lattice, "pair_basis", reversed_index)
+        assert not fock.trace_matches_product(QUAD, (0, 1, 0, 0), (0, 0, 1, 0), 3)
+    with monkeypatch.context() as m:
         # Gamma_- attaches z^(d+1) instead of z^d to a grading raise d
         exp_series = fock.exp_series
         m.setattr(fock, "exp_series", lambda v, cap: [{}] + exp_series(v, cap))
@@ -145,6 +197,7 @@ def test_relation_checks_catch_a_flipped_sign(monkeypatch):
     assert fock.heisenberg_check(P2, 2)
     assert fock.gamma_commutation_check(P2, (0, 1, 0), (1, 2, 0), 2)
     assert fock.qn_conjugation_check(P2, (0, 1, 0), 2)
+    assert fock.trace_matches_product(QUAD, (0, 1, 0, 0), (0, 0, 1, 0), 3)
 
 
 def test_gamma_on_vacuum():
@@ -252,17 +305,63 @@ def _p_basis_trace(lattice, m1, m2, cap):
     return {k: v for k, v in box.items() if v}
 
 
-@pytest.mark.parametrize("cap", [2, 3])
-@pytest.mark.parametrize("name, m1, m2", [
+# twisted pairs with negative coordinates, one per surface
+TWISTED = pytest.mark.parametrize("name, m1, m2", [
     ("p2", (-1, 2, 0), (0, -1, 1)),
     ("p1xp1", (0, -1, 2, 0), (1, 0, -1, 0)),
     ("hirzebruch(1)", (0, 1, -2, 0), (-1, 0, 2, 1)),
 ], ids=["p2", "p1xp1", "hirzebruch(1)"])
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+@TWISTED
 def test_trace_equals_power_sum_reference(name, m1, m2, cap):
     lattice = Lattice(builtin_surface(name))
     box = fock.w_trace(lattice, m1, m2, cap)
     assert all(type(c) is int for c in box.values())
     assert box == _p_basis_trace(lattice, m1, m2, cap)
+
+
+def _h_basis_trace(lattice, m1, m2, cap):
+    """Reference w_trace on the full-rank space: the four factors applied to
+    every h-basis state of every alphabet at once, and the diagonal read off."""
+    neg = lambda v: tuple(-c for c in v)
+    lower = lambda v: symmetric.shift_map([lattice.pair_basis(v, j) for j in range(lattice.rank)])
+    lower1, lower2 = lower(neg(lattice.dual(m1))), lower(neg(lattice.dual(m2)))
+    # Gamma_-(-M, -z): the degree-d part of prod H^(-M) picks up (-1)^d
+    signed = lambda v: [
+        {g: (-1) ** d * c for g, c in part.items()}
+        for d, part in enumerate(symmetric.exp_series(neg(v), cap))
+    ]
+    raise1 = signed(m1)
+    raise2 = {g: c for part in signed(m2) for g, c in part.items()}
+    box = {}
+    for n in range(cap + 1):
+        for state in fock.basis_states(lattice.rank, n):
+            diag = [(s, raise2[rest]) for s, rest in symmetric.splits(state) if rest in raise2]
+            mid = {}
+            for a, ca in lower1(state).items():
+                for part in raise1[: cap - fock.grading(a) + 1]:
+                    for g, cg in part.items():
+                        key = symmetric.product(a, g)
+                        mid[key] = mid.get(key, 0) + ca * cg
+            for b, cb in mid.items():
+                image = lower2(b)
+                t = sum(image.get(s, 0) * c for s, c in diag)
+                if cb and t:
+                    key = (n, fock.grading(b))
+                    box[key] = box.get(key, 0) + cb * t
+    return {k: v for k, v in box.items() if v}
+
+
+@TWISTED
+def test_trace_equals_full_rank_reference(name, m1, m2):
+    """The per-alphabet trace equals the full-rank one at cap 4, past the
+    p-basis reference's depth."""
+    lattice = Lattice(builtin_surface(name))
+    box = fock.w_trace(lattice, m1, m2, 4)
+    assert all(type(c) is int for c in box.values())
+    assert box == _h_basis_trace(lattice, m1, m2, 4)
 
 
 def _swapped_pairing(surface, b1, b2, n1, n2):
