@@ -46,7 +46,6 @@ from .partitions import (
     enumerate_nested_pairs,
     enumerate_partitions,
     staircase_numerator,
-    z_character,
 )
 from .series import GradedPoly, Series2, binomial_factor_series, product_formula
 from .toric import (

@@ -7,21 +7,18 @@ weight t1^a t2^b.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .laurent import LaurentPoly
-from .partitions import NestedPair, staircase_numerator, z_character
+from .partitions import NestedPair, staircase_numerator
 from .series import GradedPoly
 
 TRIVIAL = (0, 0)
 
-# (1 - t1)(1 - t2) / (t1 t2), the ubiquitous correction factor.
-_CORR = LaurentPoly({(-1, -1): 1, (0, -1): -1, (-1, 0): -1, (0, 0): 1})
-
-# (1 - t1)(1 - t2), the denominator of the free-resolution oracle; kept apart
-# from _CORR so that the block formula and the oracle share no constant.
+# (1 - t1)(1 - t2), the denominator of the free-resolution oracle.
 _RESOLUTION_DENOM = LaurentPoly({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
 
 
@@ -37,28 +34,28 @@ class DegenerateSpecializationError(LocalizationError):
     """The numeric specialization killed a weight; the caller must redraw."""
 
 
+def _arm_leg(lam, nu):
+    """f(lam, nu), the sum of t1^(nu'_j - i - 1) t2^(j - lam_i) over the cells
+    (i, j) of lam, where nu'_j counts the parts of nu greater than j."""
+    legs_arms = ((sum(p > j for p in nu) - i - 1, j - lam[i]) for i, j in lam.cells())
+    return LaurentPoly(Counter(legs_arms))
+
+
 @lru_cache(maxsize=None)
 def block_character(mu_a, mu_b):
-    """The two-index block V(I_a, I_b) = chi(R, R) - chi(I_a, I_b).
-
-    Expanded normal form: Z_b + bar(Z_a)/(t1 t2)
-    - bar(Z_a) Z_b (1 - t1)(1 - t2)/(t1 t2).
-    Its rank is |mu_a| + |mu_b|.
+    """The two-index block V(I_a, I_b) = chi(R, R) - chi(I_a, I_b), from arm
+    and leg lengths as f(mu_a, mu_b) + bar(f(mu_b, mu_a))/(t1 t2) with f =
+    `_arm_leg`: the conjugate of Carlsson-Okounkov's Ext character.  A sum of
+    |mu_a| + |mu_b| weights, none subtracted, it is a genuine character.
     """
-    za = z_character(mu_a)
-    zb = z_character(mu_b)
-    zabar = za.bar()
-    return zb + zabar.shift((-1, -1)) - zabar * zb * _CORR
+    return _arm_leg(mu_a, mu_b) + _arm_leg(mu_b, mu_a).bar().shift((-1, -1))
 
 
 @lru_cache(maxsize=None)
 def virtual_tangent_character(pair: NestedPair):
-    """Virtual tangent character of a nested fixed point on one chart.
-
-    Equals Z1 + bar(Z2)/(t1 t2)
-    + (bar(Z1) Z2 - bar(Z1) Z1 - bar(Z2) Z2)(1 - t1)(1 - t2)/(t1 t2),
-    assembled from the block decomposition; rank is |outer| + |inner|.
-    """
+    """Virtual tangent character of a nested fixed point on one chart:
+    V(outer, outer) + V(inner, inner) - V(outer, inner), of rank
+    |outer| + |inner|, from the arm-leg blocks (`block_character`)."""
     outer, inner = pair
     return (
         block_character(outer, outer)
@@ -73,10 +70,7 @@ def block_character_resolution(mu_a, mu_b):
     Uses the Taylor-complex numerators P of both ideals and the rational
     form (1 - bar(P_a) P_b)/((1 - t1)(1 - t2)), divided exactly.
     """
-    pa = staircase_numerator(mu_a)
-    pb = staircase_numerator(mu_b)
-    one = LaurentPoly.one()
-    numerator = one - pa.bar() * pb
+    numerator = LaurentPoly.one() - staircase_numerator(mu_a).bar() * staircase_numerator(mu_b)
     return numerator.divide_exact(_RESOLUTION_DENOM)
 
 
@@ -89,8 +83,7 @@ def virtual_tangent_character_resolution(pair: NestedPair):
     """
     p1 = staircase_numerator(pair.outer)
     p2 = staircase_numerator(pair.inner)
-    one = LaurentPoly.one()
-    numerator = one - p1.bar() * p1 - p2.bar() * p2 + p1.bar() * p2
+    numerator = LaurentPoly.one() - p1.bar() * p1 - p2.bar() * p2 + p1.bar() * p2
     return numerator.divide_exact(_RESOLUTION_DENOM)
 
 

@@ -219,10 +219,10 @@ def _nested_sums(surface, nums, dens, grid, spec):
 def _top_table(local, shift):
     """Top Chern classes of one chart's blocks at its own weights `local`,
     twisted by the local shift `shift` (None: untwisted), as a cached
-    function of (mu_a, mu_b).  A block is a genuine character, so each is
-    the product of its weights, 0 at a trivial weight, and a weight that
-    the specialization kills raises (`euler_factors`): nothing can cancel
-    it.  A raising entry is not cached, so every read of it raises again."""
+    function of (mu_a, mu_b).  A block is a sum of weights, none subtracted
+    (`block_character`), so each is the product of its weights, 0 at a
+    trivial weight, and a killed weight raises (`euler_factors`): nothing
+    can cancel it.  A raising entry is not cached, so every read raises."""
 
     @cache
     def top(mu_a, mu_b):

@@ -135,7 +135,7 @@ class LaurentPoly:
         Lex order is compatible with multiplication of monomials, so an
         exact quotient's lex-greatest exponent is max(self) - max(divisor);
         a quotient term beyond it means the division is not exact, and
-        raises ValueError.
+        raises ValueError.  An integral quotient coefficient stays an int.
         """
         if not divisor.terms:
             raise ZeroDivisionError("division by zero polynomial")
@@ -153,7 +153,7 @@ class LaurentPoly:
             if q > last:
                 raise ValueError("division is not exact")
             c = Fraction(remainder.terms[e], lead_c)
-            quotient[q] = c
+            quotient[q] = c = c.numerator if c.denominator == 1 else c
             remainder = remainder - LaurentPoly.monomial(q[0], q[1], c) * divisor
         return LaurentPoly(quotient)
 

@@ -34,7 +34,7 @@ class Partition(tuple):
         return len(other) <= len(self) and all(map(ge, self, other))
 
     def cells(self):
-        """Zero-based (row, column) cells of the Young diagram."""
+        """Zero-based (row, column) cells; cell (a, b) is the monomial t1^a t2^b."""
         for a, row in enumerate(self):
             for b in range(row):
                 yield (a, b)
@@ -113,18 +113,6 @@ def enumerate_nested_pairs(n1, n2):
             if outer.contains(inner):
                 pairs.append(NestedPair(outer, inner))
     return tuple(pairs)
-
-
-@lru_cache(maxsize=None)
-def z_character(mu):
-    """Torus character of the cokernel of the monomial ideal of mu.
-
-    Cell (a, b) contributes t1^a t2^b; rows index the t1 direction.
-    """
-    terms = {}
-    for a, b in mu.cells():
-        terms[(a, b)] = 1
-    return LaurentPoly(terms)
 
 
 @lru_cache(maxsize=None)

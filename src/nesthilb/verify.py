@@ -12,12 +12,14 @@ from collections import namedtuple
 
 from . import engine, fock
 from .characters import (
+    block_character,
+    block_character_resolution,
     trivial_multiplicity,
     virtual_tangent_character,
     virtual_tangent_character_resolution,
 )
 from .laurent import LaurentPoly
-from .partitions import EMPTY, NestedPair, Partition, enumerate_nested_pairs
+from .partitions import EMPTY, NestedPair, Partition, enumerate_nested_pairs, enumerate_partitions
 from .toric import ToricSurface, builtin_surface, chern_numbers
 
 
@@ -241,7 +243,21 @@ def _oracle_mismatches(sizes):
 
 
 def suite_oracle(cap=3, seed=0):
-    checks = []
+    partitions = [mu for n in range(cap + 1) for mu in enumerate_partitions(n)]
+    block_bad = [
+        f"V({a}, {b}): {block_character(a, b)} != {block_character_resolution(a, b)}"
+        for a in partitions
+        for b in partitions
+        if block_character(a, b) != block_character_resolution(a, b)
+    ]
+    checks = [
+        Check(
+            f"blocks V(mu_a, mu_b) match the free-resolution oracle, nested or not, "
+            f"sizes <= {cap}",
+            not block_bad,
+            "; ".join(block_bad[:3]),
+        )
+    ]
     bad = _oracle_mismatches((n1, n2) for n1 in range(cap + 1) for n2 in range(n1 + 1))
     checks.append(
         Check(

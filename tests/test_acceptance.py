@@ -33,9 +33,11 @@ def assert_checks_pass(suite, *prefixes):
 def test_criterion_1_tangent_character_oracle():
     """Virtual tangent characters equal the free-resolution oracle exactly:
     all pairs with outer size <= 3, outer size 4 with inner size 0, 2, 4,
-    and the closed forms at one point."""
+    and the closed forms at one point; so does every block V(mu_a, mu_b),
+    nested or not, with sizes <= 3."""
     assert_checks_pass(
         "oracle",
+        "blocks V(mu_a, mu_b) match the free-resolution oracle, nested or not, sizes <= 3",
         "tangent characters match the free-resolution oracle, outer size <= 3",
         "tangent characters match the oracle at outer size 4",
         "closed forms at one point",

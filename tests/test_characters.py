@@ -54,6 +54,30 @@ def test_block_matches_resolution_oracle():
                     assert block_character(mu, nu) == block_character_resolution(mu, nu)
 
 
+partitions_to_8 = st.integers(0, 8).flatmap(lambda n: st.sampled_from(enumerate_partitions(n)))
+
+
+@given(partitions_to_8, partitions_to_8)
+@settings(max_examples=50)
+def test_block_matches_resolution_oracle_to_size_8(mu, nu):
+    """The arm-leg block equals the free-resolution oracle, nested or not."""
+    assert block_character(mu, nu) == block_character_resolution(mu, nu)
+
+
+def test_resolution_oracle_stays_in_integers():
+    """(1 - t1)(1 - t2) is monic, so the oracle's exact divisions leave int
+    coefficients: every resolution block and tangent to size 3."""
+    partitions = [mu for n in range(4) for mu in enumerate_partitions(n)]
+    characters = [block_character_resolution(mu, nu) for mu in partitions for nu in partitions]
+    characters += [
+        virtual_tangent_character_resolution(pair)
+        for n1 in range(4)
+        for n2 in range(n1 + 1)
+        for pair in enumerate_nested_pairs(n1, n2)
+    ]
+    assert all(type(c) is int for ch in characters for c in ch.terms.values())
+
+
 def test_tangent_matches_resolution_oracle():
     for n1 in range(4):
         for n2 in range(n1 + 1):
