@@ -15,7 +15,7 @@ Two independent routes compute the same invariants:
 * the product route sums over all pairs of partition tuples (nested or
   not) on the product of two Hilbert schemes, cutting down to the nested
   locus with the top Chern class of the untwisted fiber class, one point
-  at a time from cached chart factors.
+  at a time from cached chart factors, its tangents V(mu, mu) among them.
 
 Both routes read every chart block V(mu_a, mu_b) at the chart's own
 exponents and weights (`_local_weights`), twist it by each bundle's local
@@ -52,7 +52,7 @@ from .characters import (
     virtual_tangent_character,
 )
 from .laurent import LaurentPoly
-from .partitions import NestedPair, Partition, enumerate_nested_pairs, partition_tuples
+from .partitions import Partition, enumerate_nested_pairs, partition_tuples
 from .series import GradedPoly, Series2, product_formula
 from .toric import builtin_surface, check_bundle, chern_numbers
 
@@ -121,11 +121,11 @@ def _local_twist(chart, bundle):
 
 
 @lru_cache(maxsize=None)
-def _tangent_euler(local, outer, inner):
+def _tangent_euler(local, pair):
     """Integer Euler factors (num, den) of one chart's virtual tangent at the
-    nested pair (outer, inner), read at the chart's own weights `local`,
-    raising at a pole like `euler_factors`."""
-    return euler_factors(virtual_tangent_character(NestedPair(outer, inner)), local)
+    nested pair, read at the chart's own weights `local`, raising at a pole
+    like `euler_factors`.  Only the nested route reads it."""
+    return euler_factors(virtual_tangent_character(pair), local)
 
 
 def _net_integrand(block, nums, dens):
@@ -177,7 +177,7 @@ def _chart_table(chart, nums, dens, keys, spec, cap):
     terms = []
     for key in keys:
         for pair in enumerate_nested_pairs(*key):
-            num, den = _tangent_euler(local, pair.outer, pair.inner)
+            num, den = _tangent_euler(local, pair)
             net = _net_integrand(block_character(pair.outer, pair.inner), nums, dens)
             terms.append((key, chern_poly(net, local, cap).coeffs, num, den))
     denom = lcm(*(abs(num) for _, _, num, _ in terms))
@@ -218,11 +218,12 @@ def _nested_sums(surface, nums, dens, grid, spec):
 @lru_cache(maxsize=None)
 def _top_table(local, shift):
     """Top Chern classes of one chart's blocks at its own weights `local`,
-    twisted by the local shift `shift` (None: untwisted), as a cached
-    function of (mu_a, mu_b).  A block is a sum of weights, none subtracted
-    (`block_character`), so each is the product of its weights, 0 at a
-    trivial weight, and a killed weight raises (`euler_factors`): nothing
-    can cancel it.  A raising entry is not cached, so every read raises."""
+    twisted by the local shift `shift` (None: untwisted, and at (mu, mu) the
+    Hilbert-scheme tangent), as a cached function of (mu_a, mu_b).  A block
+    is a sum of weights, none subtracted (`block_character`), so each is the
+    product of its weights, 0 at a trivial weight, and a killed weight raises
+    (`euler_factors`): nothing can cancel it.  A raising entry is not
+    cached, so every read raises."""
 
     @cache
     def top(mu_a, mu_b):
@@ -262,9 +263,9 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     multiplies the chart Euler numbers of each top factor, reading every
     chart, so that a weight killed in one chart raises even where another
     chart's factor is 0.  Only where all top factors are nonzero does it
-    read the Hilbert-scheme tangents at tup1 and tup2, each cached once per
-    tuple, and add up the chart power sums of the integrand, over one
-    integer denominator and one Fraction per coefficient at the end.
+    read the Hilbert-scheme tangents V(mu, mu) at tup1 and tup2 from the
+    untwisted top tables, cached once per tuple, and sum the integrand's
+    chart power sums over one integer denominator: one Fraction per coefficient.
     """
     cap = max((2 - len(tops)) * (n1 + n2), 0)
     charts = [(c, _local_weights(c, spec)) for c in surface.charts]
@@ -273,6 +274,7 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
                 for c, local in charts])
         for b, swap in tops
     ]
+    hilbert = [_top_table(local, None) for _, local in charts]
     integrand_tables = [
         _integrand_table(local, tuple(_local_twist(c, m) for m in nums),
                          tuple(_local_twist(c, m) for m in dens), cap)
@@ -281,8 +283,7 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
 
     @cache
     def tangent(tup):
-        factors = [_tangent_euler(local, mu, mu) for (_, local), mu in zip(charts, tup)]
-        return prod(n for n, _ in factors), prod(d for _, d in factors)
+        return prod(map(call, hilbert, tup, tup))
 
     acc = [0] * (cap + 1)
     denom = 1
@@ -295,17 +296,16 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
                 break
         if not scalar:
             continue
-        (num1, den1), (num2, den2) = tangent(tup1), tangent(tup2)
-        num, den = num1 * num2, den1 * den2
+        num = tangent(tup1) * tangent(tup2)
         e = newton_chern(list(map(sum, zip(*map(call, integrand_tables, tup1, tup2)))))
-        # add scalar * den / num * e to acc / denom
+        # add scalar / num * e to acc / denom
         if num < 0:
-            num, den = -num, -den
+            num, scalar = -num, -scalar
         scale = num // gcd(denom, num)
         if scale != 1:
             denom *= scale
             acc = [a * scale for a in acc]
-        factor = scalar * den * (denom // num)
+        factor = scalar * (denom // num)
         acc = [a + factor * c for a, c in zip(acc, e)]
     return GradedPoly(cap, [Fraction(a, denom) for a in acc])
 
@@ -371,6 +371,8 @@ def _localize(surface, route, nums, dens, grid, seed, tops=_NESTED_LOCUS):
     product route also multiplies by the top Chern classes in `tops`; its
     default cuts the product of Hilbert schemes down to the nested locus.
     """
+    if route == "nested" and tops != _NESTED_LOCUS:
+        raise ValueError("only the product route reads tops")
     for bundle in (*nums, *dens, *(b for b, _ in tops if b is not None)):
         check_bundle(surface, bundle)
     if route == "nested":
@@ -406,7 +408,7 @@ def multi_bundle_invariant(surface, nums, dens, n1, n2, *, seed=0, route="nested
     exchanging source and target ideals chartwise.  The default top factor
     cuts the product down to the nested locus, so both routes give the same
     number; `tops=((b1, False), (b2, swap))` with no nums is the pairing of
-    two top Chern classes.  Only the product route reads `tops`.
+    two top Chern classes.  The nested route raises ValueError on other `tops`.
     """
     return _localize(surface, route, nums, dens, [(n1, n2)], seed, tops)[0][n1, n2]
 
@@ -423,6 +425,8 @@ def invariant_record(surface, bundle, n1, n2, route="nested", seed=0):
 
 def series_grid(cap):
     """The (n1, n2) with n1 >= n2 >= 0 and n1 + n2 <= cap, in table order."""
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     return [(n1, n2) for n1 in range(cap + 1) for n2 in range(min(n1, cap - n1) + 1)]
 
 

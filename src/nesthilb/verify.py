@@ -1,9 +1,10 @@
 """Named verification suites shared by the CLI and the test harness.
 
 Each suite runs a battery of exact cross-checks and returns a list of
-Check records; a suite passes when every check does.  Failure details
-always spell out the counterexample (surface, bundle, indices, both
-values) so a red run is actionable on its own.
+Check records; a suite passes when every check does.  A check is a list
+of counterexamples (`_check`), most often the cells where two numbers
+differ (`_compare`); its failure detail spells out the first three, each
+with its indices and both values, so a red run is actionable on its own.
 """
 
 from __future__ import annotations
@@ -38,6 +39,28 @@ def _surface_bundles(surface):
     ]
 
 
+def _check(label, bad):
+    """Passes when `bad`, the list of counterexamples, is empty; the detail
+    names the first three."""
+    return Check(label, not bad, "; ".join(bad[:3]))
+
+
+def _compare(label, cells, values, names):
+    """Passes when the two numbers values(*cell) are equal at every cell;
+    each mismatch reads "(cell): name0=a name1=b"."""
+    bad = []
+    for cell in cells:
+        a, b = values(*cell)
+        if a != b:
+            bad.append(f"({','.join(map(str, cell))}): {names[0]}={a} {names[1]}={b}")
+    return _check(label, bad)
+
+
+def _triangle(cap):
+    """The (d1, d2) with d1 + d2 <= cap: every coefficient of a Series2."""
+    return [(d1, d2) for d1 in range(cap + 1) for d2 in range(cap - d1 + 1)]
+
+
 def suite_gottsche(cap=6, seed=0):
     checks = []
     for name in ("p2", "p1xp1", "hirzebruch(1)"):
@@ -45,32 +68,21 @@ def suite_gottsche(cap=6, seed=0):
         counts = engine.gottsche_fixed_point_counts(surface, cap)
         product = engine.gottsche_product_coefficients(surface.euler_number, cap)
         checks.append(
-            Check(
+            _compare(
                 f"fixed-point counts match Euler product on {name}",
-                counts == product,
-                f"counts={counts} product={product}",
+                [(n,) for n in range(cap + 1)], lambda n: (counts[n], product[n]),
+                ("count", "product"),
             )
         )
     known = [1, 3, 9, 22, 51]
     got = engine.gottsche_product_coefficients(3, 4)
     checks.append(
-        Check(
+        _compare(
             "first five Euler numbers of point Hilbert schemes of the plane",
-            got == known,
-            f"got={got} expected={known}",
+            [(n,) for n in range(5)], lambda n: (got[n], known[n]), ("got", "expected"),
         )
     )
     return checks
-
-
-def _grid_check(label, grid, values, names):
-    """Passes when the two numbers values(n1, n2) are equal at every grid point."""
-    bad = []
-    for n1, n2 in grid:
-        a, b = values(n1, n2)
-        if a != b:
-            bad.append(f"({n1},{n2}): {names[0]}={a} {names[1]}={b}")
-    return Check(label, not bad, "; ".join(bad))
 
 
 def suite_nestprod(cap=5, seed=0):
@@ -88,7 +100,7 @@ def suite_nestprod(cap=5, seed=0):
         surface = builtin_surface(name)
         for label, bundle in _surface_bundles(surface):
             checks.append(
-                _grid_check(
+                _compare(
                     f"route agreement on {name}/{label} up to total degree {cap}",
                     grid, by_route(surface, [bundle], []), routes,
                 )
@@ -96,7 +108,7 @@ def suite_nestprod(cap=5, seed=0):
     p2 = builtin_surface("p2")
     h, o, m2 = p2.line_bundle([1, 0, 0]), p2.structure_sheaf(), p2.line_bundle([0, 1, 1])
     checks.append(
-        _grid_check(
+        _compare(
             f"ratio [O(1), O(1)]/[O] route agreement on p2 up to total degree {cap}",
             grid, by_route(p2, [h, h], [o]), routes,
         )
@@ -112,10 +124,9 @@ def suite_nestprod(cap=5, seed=0):
         return pairing(n1, n2, m2, True), (-1) ** (n1 + n2) * dual
 
     checks.append(
-        _grid_check(
+        _compare(
             f"duality sign of the swapped pairing on p2 up to total degree {cap}",
-            [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap - n1 + 1)],
-            pairings, ("swapped", "signed dual"),
+            _triangle(cap), pairings, ("swapped", "signed dual"),
         )
     )
     return checks
@@ -129,7 +140,7 @@ def suite_theorem4(cap=5, seed=0):
             direct = engine.z_nest_series(surface, bundle, cap, seed=seed)
             closed = engine.closed_form_series(surface, bundle, cap)
             checks.append(
-                _grid_check(
+                _compare(
                     f"series matches closed product on {name}/{label} to degree {cap}",
                     engine.series_grid(cap),
                     lambda n1, n2: (direct.coeff(n1, n2), closed.coeff(n1, n2)),
@@ -160,10 +171,10 @@ def suite_universality(cap=4, seed=0):
         pred = engine.predicted_series(fit, cn)
         direct = engine.z_nest_series(surface, bundle, cap, seed=seed)
         checks.append(
-            Check(
+            _compare(
                 f"universal fit predicts {surface.name}/{label} to degree {cap}",
-                pred.terms == direct.terms,
-                f"predicted={pred.terms} direct={direct.terms}",
+                _triangle(cap), lambda d1, d2: (pred.coeff(d1, d2), direct.coeff(d1, d2)),
+                ("predicted", "direct"),
             )
         )
     return checks
@@ -200,30 +211,27 @@ def suite_fock(cap=3, seed=0):
         (quadric, "quadric", quadric.zero(), (0, 1, 2, 0)),
         (quadric, "quadric", (0, 1, 0, 0), (0, 0, 1, 0)),
     ]
+    # w_trace keeps the nonzero cells of the box n1, n2 <= cap
+    cells = [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1)]
     boxes = []
     for lattice, name, m1, m2 in pairs:
         box = fock.w_trace(lattice, m1, m2, cap)
         boxes.append(box)
         series = fock.trace_product_series(lattice, m1, m2, cap)
-        cells = [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1)]
-        ok = all(box.get(cell, 0) == series.coeff(*cell) for cell in cells)
         checks.append(
-            Check(
+            _compare(
                 f"graded trace equals closed product on {name} lattice, M1={m1} M2={m2}",
-                ok,
-                "" if ok else f"box={box}",
+                cells, lambda n1, n2: (box.get((n1, n2), 0), series.coeff(n1, n2)),
+                ("trace", "product"),
             )
         )
     zero_box = boxes[0]  # the first pair is untwisted, on the plane
     gottsche = engine.gottsche_product_coefficients(p2.rank, cap)
-    diag_ok = all(
-        zero_box.get((n, n), 0) == gottsche[n] for n in range(cap + 1)
-    ) and all(n1 == n2 for n1, n2 in zero_box)
     checks.append(
-        Check(
+        _compare(
             "untwisted trace degenerates to the Euler-number product",
-            diag_ok,
-            f"box={zero_box} product={gottsche}",
+            cells, lambda n1, n2: (zero_box.get((n1, n2), 0), gottsche[n1] if n1 == n2 else 0),
+            ("trace", "product"),
         )
     )
     return checks
@@ -250,55 +258,38 @@ def suite_oracle(cap=3, seed=0):
         for b in partitions
         if block_character(a, b) != block_character_resolution(a, b)
     ]
-    checks = [
-        Check(
-            f"blocks V(mu_a, mu_b) match the free-resolution oracle, nested or not, "
-            f"sizes <= {cap}",
-            not block_bad,
-            "; ".join(block_bad[:3]),
-        )
-    ]
-    bad = _oracle_mismatches((n1, n2) for n1 in range(cap + 1) for n2 in range(n1 + 1))
-    checks.append(
-        Check(
-            f"tangent characters match the free-resolution oracle, outer size <= {cap}",
-            not bad,
-            "; ".join(bad[:3]),
-        )
-    )
-    spot_bad = _oracle_mismatches((4, n2) for n2 in (0, 2, 4))
-    checks.append(
-        Check(
-            "tangent characters match the oracle at outer size 4, inner size 0, 2 or 4",
-            not spot_bad,
-            "; ".join(spot_bad),
-        )
-    )
     one = Partition((1,))
     t_11 = virtual_tangent_character(NestedPair(one, one))
     t_10 = virtual_tangent_character(NestedPair(one, EMPTY))
-    checks.append(
-        Check(
-            "closed forms at one point",
-            t_11 == LaurentPoly({(-1, 0): 1, (0, -1): 1})
-            and t_10 == LaurentPoly({(-1, 0): 1, (0, -1): 1, (-1, -1): -1}),
-            f"(1),(1): {t_11}; (1),(): {t_10}",
-        )
-    )
+    e_11 = LaurentPoly({(-1, 0): 1, (0, -1): 1})
+    e_10 = e_11 + LaurentPoly({(-1, -1): -1})
     rank_bad = []
     for n1, n2 in engine.series_grid(8):
         for pair in enumerate_nested_pairs(n1, n2):
             t = virtual_tangent_character(pair)
             if t.rank() != n1 + n2 or trivial_multiplicity(t):
-                rank_bad.append(repr(pair))
-    checks.append(
+                rank_bad.append(f"{pair}: rank={t.rank()} trivial={trivial_multiplicity(t)}")
+    return [
+        _check(
+            f"blocks V(mu_a, mu_b) match the free-resolution oracle, nested or not, "
+            f"sizes <= {cap}",
+            block_bad,
+        ),
+        _check(
+            f"tangent characters match the free-resolution oracle, outer size <= {cap}",
+            _oracle_mismatches((n1, n2) for n1 in range(cap + 1) for n2 in range(n1 + 1)),
+        ),
+        _check(
+            "tangent characters match the oracle at outer size 4, inner size 0, 2 or 4",
+            _oracle_mismatches((4, n2) for n2 in (0, 2, 4)),
+        ),
         Check(
-            "virtual rank n1+n2 and no trivial weight up to total degree 8",
-            not rank_bad,
-            "; ".join(rank_bad[:3]),
-        )
-    )
-    return checks
+            "closed forms at one point",
+            t_11 == e_11 and t_10 == e_10,
+            f"(1),(1): got={t_11} expected={e_11}; (1),(): got={t_10} expected={e_10}",
+        ),
+        _check("virtual rank n1+n2 and no trivial weight up to total degree 8", rank_bad),
+    ]
 
 
 _SUITE_FUNCS = {

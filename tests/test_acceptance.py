@@ -4,8 +4,8 @@ Criteria 1-9 are checks of the `verify` suites, run here once per
 session at the suites' default caps; each test asserts that the checks
 holding its criterion passed.  Criterion 10 (CLI determinism) is tested
 here directly.  Every check is exact rational/integer equality; there
-are no tolerances anywhere, and a failed check reports its first
-counterexample.
+are no tolerances anywhere, and a failed check reports its first three
+counterexamples.
 """
 
 import functools

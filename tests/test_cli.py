@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from nesthilb import cli, engine, verify
+from nesthilb import cli, engine, fock, verify
 from nesthilb.toric import builtin_surface, chern_numbers
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -376,6 +377,26 @@ def test_verify_failure_exits_one(monkeypatch):
     code, text = run_cli(["verify", "gottsche"])
     assert code == 1
     assert "FAIL synthetic failure: details here" in text
+
+
+def test_failure_details_name_at_most_three_cells_with_both_values(monkeypatch):
+    """With one kernel broken per suite, every failed check names at most
+    three counterexamples, each as "cell: a != b" or "cell: x=a y=b"."""
+    tangent, predicted, product = (
+        verify.virtual_tangent_character, engine.predicted_series, fock.trace_product_series)
+    monkeypatch.setattr(verify, "virtual_tangent_character",
+                        lambda pair: tangent(pair) + tangent(pair))
+    monkeypatch.setattr(engine, "predicted_series", lambda fit, cn: predicted(fit, cn) * 2)
+    monkeypatch.setattr(fock, "trace_product_series", lambda *args: product(*args) * 2)
+    counterexample = re.compile(r"[^:]+: (.+ != .+|\w+=.+ \w+=.+)")
+    for suite in ("oracle", "universality", "fock"):
+        failed = [c for c in verify.run_suite(suite) if not c.passed]
+        assert failed, suite
+        for check in failed:
+            shown = check.detail.split("; ")
+            assert len(shown) <= 3, (check.label, shown)
+            assert all(counterexample.fullmatch(s) for s in shown), (check.label, shown)
+        assert any(len(c.detail.split("; ")) == 3 for c in failed), suite
 
 
 def test_console_script_entry_point():

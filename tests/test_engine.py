@@ -1,7 +1,9 @@
 """Localization engine: fixed points, dual routes, series, universality."""
 
+import ast
 from fractions import Fraction
 from math import lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -305,7 +307,7 @@ def test_local_tangent_euler_reads_the_global_weights(surface_bundle):
                     for spec in ((13, 29), (1, 1), (1, -1), (2, 1)):
                         expected = _outcome(lambda: euler_factors(tangent, spec))
                         local = engine._local_weights(c, spec)
-                        got = _outcome(lambda: engine._tangent_euler(local, pair.outer, pair.inner))
+                        got = _outcome(lambda: engine._tangent_euler(local, pair))
                         assert got == expected, (c.index, pair, spec)
 
 
@@ -442,22 +444,91 @@ def test_top_factor_matches_newton(name):
     assert outcomes == {True, False, DegenerateSpecializationError}
 
 
-def test_product_route_reads_tangents_only_where_the_top_factor_is_nonzero(monkeypatch):
-    """A non-nested point, its boxes on different charts, has top factor 0
-    and adds the zero class without reading a tangent; a nested point reads
-    one, which the patched tangent turns into an error."""
+def test_product_route_reads_tangents_only_where_the_top_factor_is_nonzero():
+    """At the spec (0, 5) the first chart's tangent at the partition (1)
+    has a killed weight.  A non-nested point with that partition as its
+    outer tuple, its boxes on different charts, has top factor 0 and adds
+    the zero class without reading the tangent."""
+    spec = (0, 5)
+    one = Partition((1,))
+    local = engine._local_weights(P2.charts[0], spec)
+    with pytest.raises(DegenerateSpecializationError):
+        engine._top_table(local, None)(one, one)
+    apart = ((one, EMPTY, EMPTY), (EMPTY, one, EMPTY))
+    args = (P2, engine._NESTED_LOCUS, [], [], 1, 1, spec)
+    assert engine._product_sum(*args, [apart]) == GradedPoly(2)
+
+
+def test_product_route_reads_no_nested_tangent(monkeypatch):
+    """The product route takes its Hilbert-scheme tangents from the block
+    table, so it needs neither nested tangent to match the closed form."""
 
     def unread(*args):
-        raise RuntimeError("tangent read")
+        raise RuntimeError("nested tangent read")
 
     monkeypatch.setattr(engine, "_tangent_euler", unread)
-    one = Partition((1,))
-    apart = ((one, EMPTY, EMPTY), (EMPTY, one, EMPTY))
-    nested = ((one, EMPTY, EMPTY), (one, EMPTY, EMPTY))
-    args = (P2, engine._NESTED_LOCUS, [], [], 1, 1, (13, 29))
-    assert engine._product_sum(*args, [apart]) == GradedPoly(2)
-    with pytest.raises(RuntimeError, match="tangent read"):
-        engine._product_sum(*args, [nested])
+    monkeypatch.setattr(engine, "virtual_tangent_character", unread)
+    bundle = P2.line_bundle([1, 0, 0])
+    assert engine.z_nest_series(P2, bundle, 4, route="product") == (
+        engine.closed_form_series(P2, bundle, 4))
+
+
+def test_nested_route_rejects_tops():
+    """Only the product route reads a top factor: the nested route would
+    silently drop a pairing that the product route gives 27 at (1, 1)."""
+    h = P2.line_bundle([1, 0, 0])
+    tops = ((h, False), (h, True))
+    assert engine.multi_bundle_invariant(P2, [], [], 1, 1, route="product", tops=tops) == 27
+    with pytest.raises(ValueError, match="only the product route reads tops"):
+        engine.multi_bundle_invariant(P2, [], [], 1, 1, route="nested", tops=tops)
+    assert engine.multi_bundle_invariant(P2, [h], [], 1, 1, route="nested",
+                                         tops=engine._NESTED_LOCUS) == (
+        engine.multi_bundle_invariant(P2, [h], [], 1, 1, route="product"))
+
+
+def test_negative_cap_is_rejected():
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        engine.series_grid(-1)
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        engine.z_nest_series(P2, P2.line_bundle([1, 0, 0]), -1)
+
+
+def _engine_reach():
+    """{engine function: every name it reads, also through the engine
+    functions it calls}, from the module's syntax tree."""
+    tree = ast.parse(Path(engine.__file__).read_text())
+    reads = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+
+    def reach(name):
+        names, todo = set(), [name]
+        while todo:
+            for read in reads[todo.pop()] - names:
+                names.add(read)
+                if read in reads:
+                    todo.append(read)
+        return names
+
+    return {name: reach(name) for name in reads}
+
+
+def test_routes_share_no_kernel():
+    """The product route names no nested tangent, Chern algorithm or
+    enumeration, and the nested route no power sum or Newton identity:
+    the two routes stay independent checks of each other."""
+    reach = _engine_reach()
+    assert {"power_sums", "chern_poly"} <= reach["_localize"]  # read through both routes
+    nested = {"_tangent_euler", "_chart_table", "_nested_sums", "_local_keys"}
+    product = {"_product_sum", "_top_table", "_integrand_table"}
+    for name in product:
+        shared = reach[name] & (nested | {"virtual_tangent_character", "chern_poly",
+                                          "enumerate_nested_pairs"})
+        assert not shared, (name, shared)
+    for name in nested:
+        shared = reach[name] & (product | {"power_sums", "newton_chern"})
+        assert not shared, (name, shared)
 
 
 def test_product_fixed_points_include_non_nested():
