@@ -9,6 +9,8 @@ self-intersections of the boundary divisors give the intersection form.
 
 from __future__ import annotations
 
+import io
+import re
 from collections import namedtuple
 
 
@@ -181,15 +183,84 @@ def chern_numbers(surface, bundle):
 
 CONFIG_KEYS = ("name", "rays", "bundles")
 
+# The plain form of a config, read without PyYAML: top-level `key: value`
+# lines, each value a word or a one-line flow list of canonical integers, or
+# one indented block of `- value` items or `label: value` entries; full-line
+# and trailing comments.  Words are identifiers other than YAML 1.1's bool and
+# null words, which do not read as strings, and shorter than the 1024
+# characters past which PyYAML finds no key.  The patterns compile on first
+# use, in re's cache, so that a run without a config file does not pay for them.
+_INT = r"(?:0|-?[1-9][0-9]*)(?![0-9])"
+_WORD = r"[A-Za-z_][A-Za-z0-9_]{0,999}"
+_PLAIN_LIST = rf"\[(?:[][, ]|{_INT})*\]"
+_PLAIN_LINE = rf"( *)(?:(-) +|({_WORD}):(?: +|$))(.*)"
+_NOT_PLAIN_TEXT = r"[^\n -~]"  # a tab, CR, BOM or non-ASCII character
+_YAML_WORDS = {"y", "n", "yes", "no", "true", "false", "on", "off", "null"}
 
-def load_surface_config(path):
-    """Load a surface plus named bundles from a YAML/JSON config file.
 
-    Schema: {name: str, rays: [[x, y], ...], bundles: {label: [a_1, ...]}}.
-    A repeated key in any mapping, any other top-level key, or a name or a
-    label that is not a string is a ToricError.  Returns (surface,
-    {label: bundle}).
-    """
+def _read_plain(text):
+    """The mapping that PyYAML reads from `text`, if `text` is in the plain
+    form; ValueError otherwise, and PyYAML must read it."""
+    if re.search(_NOT_PLAIN_TEXT, text):
+        raise ValueError("not printable ASCII")
+    lines = []  # [key, value, indented lines under it]
+    for line in text.split("\n"):
+        content, comment, _ = line.partition("#")
+        if comment and content.strip(" ") and not content.endswith(" "):
+            raise ValueError(f"'#' inside a value: {line!r}")
+        content = content.rstrip(" ")
+        if not content:
+            continue
+        match = re.fullmatch(_PLAIN_LINE, content)
+        if match is None:
+            raise ValueError(f"not a plain line: {line!r}")
+        indent, dash, key, value = match.groups()
+        if indent and lines and not lines[-1][1]:
+            lines[-1][2].append((indent, dash, key, value))
+        elif indent or dash:
+            raise ValueError(f"misplaced line: {line!r}")
+        else:
+            lines.append([key, value, []])
+    if not lines:
+        raise ValueError("no keys")
+    return _plain_mapping(
+        (key, _plain_value(value) if value else _plain_block(block)) for key, value, block in lines
+    )
+
+
+def _plain_block(block):
+    """The list or mapping of one indented block of plain lines."""
+    if not block or len({(indent, dash) for indent, dash, _, _ in block}) != 1:
+        raise ValueError("an empty block, or uneven indentation")
+    if block[0][1]:
+        return [_plain_value(value) for _, _, _, value in block]
+    return _plain_mapping((label, _plain_value(value)) for _, _, label, value in block)
+
+
+def _plain_mapping(entries):
+    """A dict of (word, value) entries; ValueError at a repeated key or a non-word."""
+    mapping = {}
+    for key, value in entries:
+        if key in mapping:
+            raise ValueError(f"repeated key {key!r}")
+        mapping[_plain_value(key)] = value
+    return mapping
+
+
+def _plain_value(text):
+    """A word or a flow list of canonical integers as PyYAML reads it; ValueError otherwise."""
+    import json
+
+    if re.fullmatch(_WORD, text) and text.lower() not in _YAML_WORDS:
+        return text
+    if re.fullmatch(_PLAIN_LIST, text):
+        return json.loads(text)
+    raise ValueError(f"not a plain value: {text!r}")
+
+
+def _read_yaml(stream):
+    """PyYAML's reading of `stream`, with every key unique in its mapping and
+    every integer spelled canonically."""
     import yaml
 
     class UniqueKeyLoader(yaml.SafeLoader):
@@ -205,11 +276,47 @@ def load_surface_config(path):
                 seen.add(key)
             return mapping
 
+        def construct_canonical_int(self, node):
+            text = self.construct_scalar(node)
+            if not re.fullmatch(_INT, text):
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"integer {text!r} is not spelled canonically", node.start_mark
+                )
+            return int(text)
+
+    UniqueKeyLoader.add_constructor(
+        "tag:yaml.org,2002:int", UniqueKeyLoader.construct_canonical_int
+    )
+    try:
+        return yaml.load(stream, Loader=UniqueKeyLoader)
+    except yaml.YAMLError as exc:
+        raise ToricError(f"invalid YAML: {' '.join(str(exc).split())}")
+
+
+def load_surface_config(path):
+    """Load a surface plus named bundles from a YAML/JSON config file.
+
+    Schema: {name: str, rays: [[x, y], ...], bundles: {label: [a_1, ...]}}.
+    A repeated key in any mapping, any other top-level key, an integer not
+    spelled as Python's str spells it (010, +1, 1_0, -0, 0x10, 1:30), or a
+    name or a label that is not a string is a ToricError.  A file in the
+    plain form (see _read_plain) is read without importing PyYAML; any other
+    text is read by PyYAML, to the same data.  Returns (surface,
+    {label: bundle}).
+    """
     with open(path, "rb") as fh:
+        raw = fh.read()
         try:
-            data = yaml.load(fh, Loader=UniqueKeyLoader)
-        except yaml.YAMLError as exc:
-            raise ToricError(f"invalid YAML: {' '.join(str(exc).split())}")
+            data = _read_plain(raw.decode("ascii"))
+        except ValueError:  # not in the plain form, or not ASCII
+            stream = io.BytesIO(raw)
+            stream.name = fh.name  # PyYAML's error marks name the file
+            data = _read_yaml(stream)
+    return _surface_from_config(data)
+
+
+def _surface_from_config(data):
+    """(surface, {label: bundle}) from a config's data, whichever reader read it."""
     if not isinstance(data, dict) or "rays" not in data:
         raise ToricError("config must be a mapping with a 'rays' field")
     unknown = [key for key in data if key not in CONFIG_KEYS]

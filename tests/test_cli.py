@@ -205,10 +205,18 @@ PLANE_RAYS = "rays: [[1,0],[0,1],[-1,-1]]\n"
     PLANE_RAYS + "bundles:\n  K: [0, 0, 0]\n",
     PLANE_RAYS + "bundles:\n  O(1): [0, 0, 0]\n",
     PLANE_RAYS + "bundles:\n  1,0,0: [0, 0, 0]\n",
+    "rays: [[1,0],[0,1],[-1,-01]]\n",
+    PLANE_RAYS + "bundles:\n  h: [1_0, 0, 0]\n",
+    PLANE_RAYS + "bundles:\n  h: [1:30, 0, 0]\n",
+    PLANE_RAYS + "bundles:\n  h: [0x1, 0, 0]\n",
+    PLANE_RAYS + "bundles:\n  h: [+1, 0, 0]\n",
+    PLANE_RAYS + "bundles:\n  h: [-0, 0, 0]\n",
 ], ids=["wound-twice", "yaml-syntax", "rays-scalar", "bundles-list", "ray-triple",
         "ray-float", "bundle-float", "bundle-bool", "duplicate-label", "name-list",
         "label-int", "unknown-key", "bundles-empty-list", "bundles-zero", "bundles-false",
-        "bundles-null", "label-K", "label-O(1)", "label-coefficients"])
+        "bundles-null", "label-K", "label-O(1)", "label-coefficients", "ray-octal",
+        "bundle-underscore", "bundle-sexagesimal", "bundle-hex", "bundle-plus",
+        "bundle-minus-zero"])
 def test_twice_wound_config_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "surface.yaml"
     path.write_text(config)
@@ -467,6 +475,21 @@ def test_cli_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--surface", CONFIG, "--bundle", "fiber", "--cap", "2"],
+    ["integrate", "--surface", CONFIG, "--bundle", "section", "--n1", "1", "--n2", "0"],
+])
+def test_shipped_config_loads_without_pyyaml(argv):
+    """The shipped config is in the plain form, so a run on it never imports yaml."""
+    code = ("import sys, nesthilb.cli; code = nesthilb.cli.main(sys.argv[1:]); "
+            "print('yaml' in sys.modules, file=sys.stderr); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env)
+    assert (proc.returncode, proc.stderr) == (0, "False\n")
 
 
 def test_verify_has_no_format_option():

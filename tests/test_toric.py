@@ -1,6 +1,8 @@
 """Toric surfaces, equivariant line bundles, intersection numbers."""
 
 import functools
+import operator
+import re
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nesthilb import engine
+from nesthilb import engine, toric
 from nesthilb.fock import Lattice
 from nesthilb.toric import (
     ToricError,
@@ -19,6 +21,8 @@ from nesthilb.toric import (
     intersection_number,
     load_surface_config,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_charts_have_unimodular_dual_bases():
@@ -167,13 +171,111 @@ def test_load_surface_config_rejects_junk(tmp_path):
 
 
 def test_shipped_config_loads_and_unknown_keys_are_named(tmp_path):
-    config = Path(__file__).resolve().parent.parent / "configs" / "hirzebruch1.yaml"
+    config = ROOT / "configs" / "hirzebruch1.yaml"
     surface, bundles = load_surface_config(config)
     assert (surface.name, sorted(bundles)) == ("hirzebruch1", ["anticanonical", "fiber", "section"])
     path = tmp_path / "extra.yaml"
     path.write_text(config.read_text() + "extra: 1\n")
     with pytest.raises(ToricError, match="unknown config key 'extra'"):
         load_surface_config(path)
+
+
+PLANE = "rays: [[1, 0], [0, 1], [-1, -1]]\n"
+
+
+@st.composite
+def _now_and_then(draw, common, rare, one_in):
+    """`rare` one draw in `one_in`, else `common`."""
+    return draw(rare if draw(st.sampled_from(range(one_in))) == 0 else common)
+
+
+# Words, some of them YAML's bools and nulls, and some not words at all.
+_words = _now_and_then(
+    st.builds(operator.add, st.sampled_from("Aaz_"), st.text("Aaz_09", max_size=3)),
+    st.sampled_from(["yes", "No", "on", "OFF", "null", "Null", "true", "False", "~", "'h'", "1"]),
+    6,
+)
+_integers = _now_and_then(
+    st.integers(-12, 12).map(str),
+    st.sampled_from(["-0", "010", "-01", "00", "+1", "1_0", "0x10", "1:30", "1.5", ""]),
+    8,
+)
+
+
+def _flow_list(items):
+    return st.builds(
+        lambda items, comma, pad: f"[{pad}{comma.join(items)}{pad}]",
+        st.lists(items, max_size=3), _now_and_then(st.sampled_from([",", ", "]), st.just(" ,"), 20),
+        st.sampled_from(["", " "]),
+    )
+
+
+_flow_lists = _flow_list(st.recursive(_integers, _flow_list, max_leaves=4))
+_values = _now_and_then(_flow_lists, _words, 10)
+_tails = _now_and_then(
+    st.sampled_from(["", "", " # note", "  #n", " "]), st.sampled_from(["#n", "\t"]), 20
+)
+_indents = _now_and_then(st.just(2), st.sampled_from([0, 1, 4]), 20)
+
+
+@st.composite
+def near_plain_texts(draw):
+    """Texts in or near the plain form: top-level keys with flow values or with
+    one block of `- ` items or `label: ` entries, some indented unevenly, some
+    mixing both kinds, among comments and blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        key, tail = draw(_words), draw(_tails)
+        if draw(st.booleans()):
+            lines.append(f"{key}: {draw(_values)}{tail}")
+            continue
+        lines.append(f"{key}:{tail}")
+        dash, indent = draw(st.booleans()), draw(_indents)
+        for _ in range(draw(_now_and_then(st.integers(1, 3), st.just(0), 20))):
+            if draw(_now_and_then(st.just(False), st.booleans(), 20)):
+                dash, indent = not dash, draw(_indents)
+            head = "- " if dash else f"{draw(_words)}: "
+            lines.append(f"{' ' * indent}{head}{draw(_values)}{draw(_tails)}")
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  ", "# note", "  # note"])))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_plain_texts())
+def test_plain_reader_agrees_with_pyyaml(text):
+    """On every text it accepts, the plain reader reads what PyYAML reads: the
+    same keys in the same order, the same types and the same integers."""
+    try:
+        plain = toric._read_plain(text)
+    except ValueError:
+        return
+    assert repr(plain) == repr(toric._read_yaml(text))
+
+
+def test_shipped_configs_and_the_readme_example_are_plain():
+    texts = [path.read_text() for path in sorted((ROOT / "configs").glob("*.yaml"))]
+    texts += re.findall(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(texts) >= 2
+    for text in texts:
+        assert repr(toric._read_plain(text)) == repr(toric._read_yaml(text))
+
+
+@pytest.mark.parametrize("text", [
+    PLANE + "bundles: {h: [1, 0, 0]}\n",
+    PLANE + "bundles:\n  'h': [1, 0, 0]\n",
+    "rays:\n- [1, 0]\n- [0, 1]\n- [-1, -1]\nbundles:\n  h: [1, 0, 0]\n",
+    PLANE.replace("\n", "\r\n") + "bundles:\r\n  h: [1, 0, 0]\r\n",
+    '{"rays": [[1, 0], [0, 1], [-1, -1]], "bundles": {"h": [1, 0, 0]}}',
+], ids=["flow-mapping", "quoted-label", "compact-block", "crlf", "json"])
+def test_other_yaml_loads_through_pyyaml(tmp_path, text):
+    with pytest.raises(ValueError):
+        toric._read_plain(text)
+    path = tmp_path / "surface.yaml"
+    path.write_bytes(text.encode())
+    surface, bundles = load_surface_config(path)
+    assert (surface.name, surface.rays) == ("custom", [(1, 0), (0, 1), (-1, -1)])
+    assert {label: bundle.coeffs for label, bundle in bundles.items()} == {"h": [1, 0, 0]}
 
 
 def _dot(a, b):
