@@ -56,19 +56,18 @@ def _in_bundle_grammar(label):
 
 
 def _resolve_surface(spec):
-    """A builtin surface name, or a path to a YAML/JSON surface config."""
-    if os.path.exists(spec):
-        surface, named = load_surface_config(spec)
-        for label in named:
-            if _in_bundle_grammar(label):
-                raise UsageError(f"config bundle label {label!r} would shadow a built-in bundle")
-        return surface, named
+    """A builtin surface name, or else a path to a YAML/JSON surface config;
+    a config file named like a builtin is passed as ./p2."""
     try:
         return builtin_surface(spec), {}
     except ToricError:
-        raise UsageError(
-            f"unknown surface {spec!r}: not a builtin name or a config file"
-        )
+        if not os.path.exists(spec):
+            raise UsageError(f"unknown surface {spec!r}: not a builtin name or a config file")
+    surface, named = load_surface_config(spec)
+    for label in named:
+        if _in_bundle_grammar(label):
+            raise UsageError(f"config bundle label {label!r} would shadow a built-in bundle")
+    return surface, named
 
 
 def _resolve_bundle(surface, named, label):

@@ -113,11 +113,11 @@ def _local_weights(chart, spec):
 
 
 def _local_twist(chart, bundle):
-    """The bundle's shift (<w, r1>, <w, r2>) of the chart's exponents, for
-    its weight w on the chart and the chart's rays r1, r2, the dual basis of
-    (u, v): w = <w, r1> u + <w, r2> v."""
-    (w1, w2), ((a1, a2), (b1, b2)) = bundle.weights[chart.index], chart.rays
-    return w1 * a1 + w2 * a2, w1 * b1 + w2 * b2
+    """The bundle's shift (<w, r_i>, <w, r_i+1>) of chart i's exponents, for
+    its weight w = -a_i u - a_i+1 v there: (u, v) is the dual basis of the
+    chart's rays (r_i, r_i+1), so the shift is the divisor's (-a_i, -a_i+1)."""
+    coeffs = bundle.coeffs
+    return -coeffs[chart.index], -coeffs[(chart.index + 1) % len(coeffs)]
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,8 @@
 
 Exponent pairs (a, b) index monomials t1^a t2^b.  Coefficients are stored
 as given, so integer polynomials stay integer; a Fraction appears only
-where a division makes one.  Zero coefficients are never stored, so
+where a division makes one.  The constructor is the one place that drops
+zero coefficients; every operation builds its result through it, so
 structural equality of the term dictionaries is mathematical equality.
 """
 
@@ -42,42 +43,24 @@ class LaurentPoly:
     def __add__(self, other):
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            new = terms.get(exps, 0) + coeff
-            if new:
-                terms[exps] = new
-            else:
-                terms.pop(exps, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = terms
-        return out
+            terms[exps] = terms.get(exps, 0) + coeff
+        return LaurentPoly(terms)
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
-            if not other:
-                return LaurentPoly.zero()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.terms = {e: other * v for e, v in self.terms.items()}
-            return out
+            return LaurentPoly({e: other * v for e, v in self.terms.items()})
         terms = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 key = (a1 + a2, b1 + b2)
-                new = terms.get(key, 0) + c1 * c2
-                if new:
-                    terms[key] = new
-                else:
-                    del terms[key]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = terms
-        return out
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return LaurentPoly(terms)
 
     __rmul__ = __mul__
 
@@ -95,30 +78,20 @@ class LaurentPoly:
 
     def bar(self):
         """Invert both variables: t1 -> 1/t1, t2 -> 1/t2."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {(-a, -b): c for (a, b), c in self.terms.items()}
-        return out
+        return LaurentPoly({(-a, -b): c for (a, b), c in self.terms.items()})
 
     def shift(self, m):
         """Multiply by the monomial t1^m[0] t2^m[1]."""
         da, db = m
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {(a + da, b + db): c for (a, b), c in self.terms.items()}
-        return out
+        return LaurentPoly({(a + da, b + db): c for (a, b), c in self.terms.items()})
 
     def substitute(self, u, v):
         """Monomial substitution t1 -> t^u, t2 -> t^v for lattice vectors u, v."""
         terms = {}
         for (a, b), c in self.terms.items():
             key = (a * u[0] + b * v[0], a * u[1] + b * v[1])
-            new = terms.get(key, 0) + c
-            if new:
-                terms[key] = new
-            else:
-                del terms[key]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = terms
-        return out
+            terms[key] = terms.get(key, 0) + c
+        return LaurentPoly(terms)
 
     # -- evaluation --------------------------------------------------------
 
@@ -145,16 +118,23 @@ class LaurentPoly:
         lead_c = divisor.terms[lead]
         top, dtop = max(self.terms), max(divisor.terms)
         last = (top[0] - dtop[0], top[1] - dtop[1])
-        remainder = self
+        # reduced in place: a new polynomial per quotient term dominated `verify oracle`
+        remainder = dict(self.terms)
         quotient = {}
-        while remainder.terms:
-            e = min(remainder.terms)
+        while remainder:
+            e = min(remainder)
             q = (e[0] - lead[0], e[1] - lead[1])
             if q > last:
                 raise ValueError("division is not exact")
-            c = Fraction(remainder.terms[e], lead_c)
+            c = Fraction(remainder[e], lead_c)
             quotient[q] = c = c.numerator if c.denominator == 1 else c
-            remainder = remainder - LaurentPoly.monomial(q[0], q[1], c) * divisor
+            for (a, b), d in divisor.terms.items():
+                key = (a + q[0], b + q[1])
+                new = remainder.get(key, 0) - c * d
+                if new:
+                    remainder[key] = new
+                else:
+                    del remainder[key]
         return LaurentPoly(quotient)
 
     def __repr__(self):

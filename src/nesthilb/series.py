@@ -5,7 +5,9 @@ GradedPoly is a single-variable truncated polynomial used to carry a
 formal (cohomological) grading through otherwise numeric computations.
 Both store their coefficients as given: integer inputs stay integers, and
 a Fraction appears only where a division (a rational exponent, a log, an
-exp or a division by a constant term) makes one.
+exp or a division by a constant term) makes one.  The Series2 constructor
+is the one place that drops zero coefficients and terms past the cap;
+every Series2 operation builds its result through it.
 """
 
 from __future__ import annotations
@@ -47,16 +49,10 @@ class Series2:
         return NotImplemented
 
     def __add__(self, other):
-        cap = min(self.cap, other.cap)
-        terms = {k: v for k, v in self.terms.items() if k[0] + k[1] <= cap}
+        terms = dict(self.terms)
         for k, v in other.terms.items():
-            if k[0] + k[1] <= cap:
-                new = terms.get(k, 0) + v
-                if new:
-                    terms[k] = new
-                else:
-                    terms.pop(k, None)
-        return Series2(cap, terms)
+            terms[k] = terms.get(k, 0) + v
+        return Series2(min(self.cap, other.cap), terms)
 
     def __neg__(self):
         return Series2(self.cap, {k: -v for k, v in self.terms.items()})
@@ -74,12 +70,7 @@ class Series2:
                 d1, d2 = a1 + a2, b1 + b2
                 if d1 + d2 > cap:
                     continue
-                key = (d1, d2)
-                new = terms.get(key, 0) + c1 * c2
-                if new:
-                    terms[key] = new
-                else:
-                    del terms[key]
+                terms[d1, d2] = terms.get((d1, d2), 0) + c1 * c2
         return Series2(cap, terms)
 
     __rmul__ = __mul__

@@ -228,6 +228,24 @@ def test_twice_wound_config_is_usage_error(tmp_path, capsys, config):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_builtin_surface_names_win_over_the_working_directory(tmp_path, monkeypatch):
+    """A directory p2 and a config file p1xp1 with other rays in the working
+    directory hide neither builtin; the config is still read as ./p1xp1."""
+    (tmp_path / "p2").mkdir()
+    (tmp_path / "p1xp1").write_text("name: p1xp1\nrays: [[1,0],[0,1],[-1,1],[0,-1]]\n")
+    monkeypatch.chdir(tmp_path)
+
+    def value(surface, bundle):
+        code, text = run_cli(["integrate", "--surface", surface, "--bundle", bundle,
+                              "--n1", "1", "--n2", "0"])
+        assert code == 0
+        return json.loads(text)["records"][0]["value"]["num"]
+
+    assert value("p2", "O") == "9"
+    assert value("p1xp1", "1,1,0,0") == "12"
+    assert value("./p1xp1", "1,1,0,0") == "11"
+
+
 def test_config_label_that_shadows_a_builtin_bundle_is_named(tmp_path, capsys):
     """A config label K would shadow the canonical bundle, so the config is
     rejected even when --bundle asks for another label."""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nesthilb import engine
 from nesthilb.characters import (
@@ -25,7 +26,7 @@ from nesthilb.engine import SpecializationDisagreement
 from nesthilb.laurent import LaurentPoly
 from nesthilb.partitions import EMPTY, NestedPair, Partition, enumerate_nested_pairs
 from nesthilb.series import GradedPoly, Series2
-from nesthilb.toric import builtin_surface, chern_numbers
+from nesthilb.toric import ToricSurface, builtin_surface, chern_numbers
 from test_toric import surfaces_with_bundles
 
 P2 = builtin_surface("p2")
@@ -239,6 +240,20 @@ def test_chart_tables_match_global_assembly_on_random_surfaces(surface_bundle):
     k = surface.canonical_bundle()
     integrands = [([bundle], []), ([bundle, k], [bundle]), ([k], [bundle])]
     _assert_chart_tables_match(surface, integrands, ((13, 29), (1, -3), (2, 1)), 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(surfaces_with_bundles(), st.booleans())
+def test_local_twist_pairs_the_global_weight_with_the_chart_rays(surface_bundle, clockwise):
+    """The shift read off the divisor coefficients is the bundle's global
+    weight paired with each chart's two rays, on fans turning either way."""
+    surface, bundle = surface_bundle
+    if clockwise:
+        surface = ToricSurface(surface.name, surface.rays[::-1])
+        bundle = surface.line_bundle(bundle.coeffs[::-1])
+    for chart in surface.charts:
+        (w1, w2), ((a1, a2), (b1, b2)) = bundle.weights[chart.index], chart.rays
+        assert engine._local_twist(chart, bundle) == (w1 * a1 + w2 * a2, w1 * b1 + w2 * b2)
 
 
 def test_chart_table_nets_killed_weights_over_nums_and_dens():

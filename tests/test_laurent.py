@@ -1,5 +1,6 @@
 """Ring-level properties of the exact Laurent polynomial arithmetic."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,48 @@ def test_bar_is_multiplicative(a, b):
 @given(polys, exponents)
 def test_shift_is_monomial_multiplication(a, m):
     assert a.shift(m) == a * LaurentPoly.monomial(*m)
+
+
+small_exponents = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+small_terms = st.dictionaries(small_exponents, st.integers(-2, 2), max_size=6)
+lattice_vectors = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _reference(pairs):
+    """The nonzero sums of (exponents, coefficient) pairs, via a Counter."""
+    total = Counter()
+    for exps, c in pairs:
+        total[exps] += c
+    return {exps: c for exps, c in total.items() if c}
+
+
+@settings(max_examples=200)
+@given(small_terms, small_terms, st.integers(-2, 2), small_exponents, lattice_vectors,
+       lattice_vectors)
+def test_every_operation_returns_the_normal_form(ta, tb, scalar, m, u, v):
+    """Small coefficients cancel often; no result stores a zero coefficient,
+    and each equals its Counter reference, also where a non-injective
+    substitution merges terms."""
+    a, b = LaurentPoly(ta), LaurentPoly(tb)
+    negb = [(e, -c) for e, c in tb.items()]
+    cases = [
+        (a + b, [*ta.items(), *tb.items()]),
+        (a - b, [*ta.items(), *negb]),
+        (-b, negb),
+        (a * b, [((a1 + a2, b1 + b2), c1 * c2)
+                 for (a1, b1), c1 in ta.items() for (a2, b2), c2 in tb.items()]),
+        (a * scalar, [(e, scalar * c) for e, c in ta.items()]),
+        (a * 0, []),
+        (a.bar(), [((-x, -y), c) for (x, y), c in ta.items()]),
+        (a.shift(m), [((x + m[0], y + m[1]), c) for (x, y), c in ta.items()]),
+    ]
+    for w1, w2 in ((u, v), ((1, 0), (1, 0))):
+        cases.append((a.substitute(w1, w2),
+                      [((x * w1[0] + y * w2[0], x * w1[1] + y * w2[1]), c)
+                       for (x, y), c in ta.items()]))
+    for result, pairs in cases:
+        assert 0 not in result.terms.values()
+        assert result.terms == _reference(pairs)
 
 
 @given(polys)

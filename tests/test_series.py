@@ -1,5 +1,6 @@
 """Truncated power series and graded-polynomial arithmetic."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,45 @@ def test_pow_inverse(s, r):
 @given(unit_series)
 def test_exp_log_roundtrip(s):
     assert s.log().exp() == s
+
+
+small_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-2, 2), max_size=8
+)
+
+
+def _reference(pairs, cap):
+    """The nonzero sums of (exponents, coefficient) pairs up to total degree
+    cap, via a Counter."""
+    total = Counter()
+    for exps, c in pairs:
+        if sum(exps) <= cap:
+            total[exps] += c
+    return {exps: c for exps, c in total.items() if c}
+
+
+@settings(max_examples=200)
+@given(small_terms, small_terms, st.integers(0, 4), st.integers(0, 4))
+def test_sum_and_product_return_the_normal_form(ta, tb, cap_a, cap_b):
+    """At unequal caps, with small coefficients that cancel often, no result
+    stores a zero coefficient or a term past its cap, and each equals its
+    Counter reference."""
+    a, b = Series2(cap_a, ta), Series2(cap_b, tb)
+    ta = {e: c for e, c in ta.items() if sum(e) <= cap_a}
+    tb = {e: c for e, c in tb.items() if sum(e) <= cap_b}
+    negb = [(e, -c) for e, c in tb.items()]
+    cap = min(cap_a, cap_b)
+    cases = [
+        (a + b, [*ta.items(), *tb.items()]),
+        (a - b, [*ta.items(), *negb]),
+        (a * b, [((a1 + a2, b1 + b2), c1 * c2)
+                 for (a1, b1), c1 in ta.items() for (a2, b2), c2 in tb.items()]),
+    ]
+    for result, pairs in cases:
+        assert result.cap == cap
+        assert 0 not in result.terms.values()
+        assert all(d1 + d2 <= cap for d1, d2 in result.terms)
+        assert result.terms == _reference(pairs, cap)
 
 
 def test_pow_requires_unit():
