@@ -17,9 +17,7 @@ import sys
 from . import engine, verify
 from .characters import LocalizationError
 from .fock import FockError
-from .toric import ToricError, builtin_surface, load_surface_config
-
-DEFAULT_SEED_ENV = "NESTHILB_SEED"
+from .toric import ToricError, builtin_surface, canonical_int, load_surface_config
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -31,22 +29,11 @@ class UsageError(Exception):
     pass
 
 
-def _default_seed():
-    raw = os.environ.get(DEFAULT_SEED_ENV, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{DEFAULT_SEED_ENV} must be an integer, got {raw!r}")
-
-
 def _coefficients(text):
     """Integer coefficients a,b,..., or None unless the text lists them, each
-    in its canonical spelling str(a), so that a bundle has one label."""
-    try:
-        coeffs = [int(c) for c in text.split(",")]
-    except ValueError:
-        return None
-    return coeffs if ",".join(map(str, coeffs)) == text else None
+    in its canonical spelling, so that a bundle has one label."""
+    coeffs = [canonical_int(c) for c in text.split(",")]
+    return None if None in coeffs else coeffs
 
 
 def _in_bundle_grammar(label):
@@ -187,8 +174,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"specialization seed (default ${DEFAULT_SEED_ENV} or 0)")
+        p.add_argument("--seed", type=int, default=0, help="specialization seed (default 0)")
 
     p_int = sub.add_parser("integrate", help="one invariant at (n1, n2)")
     p_int.add_argument("--surface", required=True, help="builtin name or config path")
@@ -226,8 +212,6 @@ def main(argv=None, out=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         if getattr(args, "jobs", 1) < 1:
             raise UsageError("--jobs must be positive")
         if getattr(args, "cap", 0) is not None and getattr(args, "cap", 0) < 0:

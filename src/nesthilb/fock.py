@@ -320,7 +320,8 @@ def heisenberg_check(lattice, cap):
             ups = {n: [alpha[n, i](x) for i in rank] for n in range(-cap, 0)}
             for m in range(1, cap + 1):
                 down = [alpha[m, i](x) for i in rank]
-                for n in (-m, m - cap - 1):
+                # one n when the two coincide, at 2m = cap + 1
+                for n in dict.fromkeys((-m, m - cap - 1)):
                     for gi in rank:
                         for gj in rank:
                             comm = alpha[m, gi](ups[n][gj])

@@ -3,13 +3,13 @@
 Everything is derived from the cyclically ordered list of rays by 2x2
 integer linear algebra: each adjacent (unimodular) cone gives one chart,
 whose two tangent weights are the dual basis of the cone, a
-torus-invariant divisor gives one linearization weight per chart, and the
+torus-invariant divisor is one coefficient per ray, and the
 self-intersections of the boundary divisors give the intersection form.
 """
 
 from __future__ import annotations
 
-import io
+import json
 import re
 from collections import namedtuple
 
@@ -98,24 +98,12 @@ class ToricSurface:
 
 
 class EquivariantLineBundle:
-    """Line bundle of a torus-invariant divisor sum(a_i D_i).
-
-    The weight at each chart solves <m, ray> = -a_ray for the chart's two
-    rays; this is the vertex of the divisor polytope at that fixed point.
-    """
+    """Line bundle of a torus-invariant divisor sum(a_i D_i)."""
 
     def __init__(self, surface, coeffs):
         coeffs = list(_integers(coeffs, "divisor coefficients (one per ray)", len(surface.rays)))
         self.surface = surface
         self.coeffs = coeffs
-        self.weights = []
-        n = len(surface.rays)
-        for chart in surface.charts:
-            a1 = coeffs[chart.index]
-            a2 = coeffs[(chart.index + 1) % n]
-            # m = -a1 * u - a2 * v satisfies <m, r1> = -a1, <m, r2> = -a2
-            m = (-a1 * chart.u[0] - a2 * chart.v[0], -a1 * chart.u[1] - a2 * chart.v[1])
-            self.weights.append(m)
 
     def dual_twist(self):
         """The Serre-dual twist K - L of this bundle."""
@@ -137,13 +125,9 @@ def builtin_surface(name):
     if name == "p1xp1":
         return ToricSurface("p1xp1", [(1, 0), (0, 1), (-1, 0), (0, -1)])
     if name.startswith("hirzebruch(") and name.endswith(")"):
-        # only the canonical spelling str(a), so that a surface has one name
-        arg = name[len("hirzebruch(") : -1]
-        try:
-            a = int(arg)
-        except ValueError:
-            a = None
-        if a is not None and str(a) == arg:
+        # only the canonical spelling, so that a surface has one name
+        a = canonical_int(name[len("hirzebruch(") : -1])
+        if a is not None:
             return ToricSurface(name, [(1, 0), (0, 1), (-1, a), (0, -1)])
     raise ToricError(f"unknown surface {name!r}")
 
@@ -183,24 +167,32 @@ def chern_numbers(surface, bundle):
 
 CONFIG_KEYS = ("name", "rays", "bundles")
 
-# The plain form of a config, read without PyYAML: top-level `key: value`
-# lines, each value a word or a one-line flow list of canonical integers, or
-# one indented block of `- value` items or `label: value` entries; full-line
-# and trailing comments.  Words are identifiers other than YAML 1.1's bool and
-# null words, which do not read as strings, and shorter than the 1024
-# characters past which PyYAML finds no key.  The patterns compile on first
-# use, in re's cache, so that a run without a config file does not pay for them.
+# The plain form of a config, a subset of YAML that PyYAML reads to the same
+# data: top-level `key: value` lines, each value a word, a canonical integer or
+# a one-line flow list of canonical integers, or one indented block of
+# `- value` items or `label: value` entries; full-line and trailing comments.
+# Words are identifiers other than YAML 1.1's bool and null words, which do
+# not read as strings, and shorter than the 1024 characters past which PyYAML
+# finds no key.  The patterns compile on first use, in re's cache, so that a
+# run without a config file does not pay for them.
 _INT = r"(?:0|-?[1-9][0-9]*)(?![0-9])"
 _WORD = r"[A-Za-z_][A-Za-z0-9_]{0,999}"
 _PLAIN_LIST = rf"\[(?:[][, ]|{_INT})*\]"
 _PLAIN_LINE = rf"( *)(?:(-) +|({_WORD}):(?: +|$))(.*)"
-_NOT_PLAIN_TEXT = r"[^\n -~]"  # a tab, CR, BOM or non-ASCII character
+_NOT_PLAIN_TEXT = r"[^\n -~]"  # a tab, a bare CR, a BOM or a non-ASCII character
 _YAML_WORDS = {"y", "n", "yes", "no", "true", "false", "on", "off", "null"}
+
+
+def canonical_int(text):
+    """int(text) if text spells an integer as str() spells it, else None:
+    so 010, +1, 1_0, -0, 0x10 and 1:30 are None."""
+    return int(text) if re.fullmatch(_INT, text) else None
 
 
 def _read_plain(text):
     """The mapping that PyYAML reads from `text`, if `text` is in the plain
-    form; ValueError otherwise, and PyYAML must read it."""
+    form; ValueError otherwise.  CRLF line ends read as LF."""
+    text = text.replace("\r\n", "\n")
     if re.search(_NOT_PLAIN_TEXT, text):
         raise ValueError("not printable ASCII")
     lines = []  # [key, value, indented lines under it]
@@ -223,8 +215,9 @@ def _read_plain(text):
             lines.append([key, value, []])
     if not lines:
         raise ValueError("no keys")
-    return _plain_mapping(
-        (key, _plain_value(value) if value else _plain_block(block)) for key, value, block in lines
+    return _unique_keys(
+        (_plain_value(key), _plain_value(value) if value else _plain_block(block))
+        for key, value, block in lines
     )
 
 
@@ -234,84 +227,66 @@ def _plain_block(block):
         raise ValueError("an empty block, or uneven indentation")
     if block[0][1]:
         return [_plain_value(value) for _, _, _, value in block]
-    return _plain_mapping((label, _plain_value(value)) for _, _, label, value in block)
+    return _unique_keys((_plain_value(label), _plain_value(value)) for _, _, label, value in block)
 
 
-def _plain_mapping(entries):
-    """A dict of (word, value) entries; ValueError at a repeated key or a non-word."""
+def _unique_keys(pairs):
+    """A dict of (key, value) pairs; ValueError at a repeated key.  Both the
+    plain reader and the JSON reader build every mapping with it."""
     mapping = {}
-    for key, value in entries:
+    for key, value in pairs:
         if key in mapping:
             raise ValueError(f"repeated key {key!r}")
-        mapping[_plain_value(key)] = value
+        mapping[key] = value
     return mapping
 
 
 def _plain_value(text):
-    """A word or a flow list of canonical integers as PyYAML reads it; ValueError otherwise."""
-    import json
-
+    """A word, a canonical integer or a flow list of canonical integers as
+    PyYAML reads it; ValueError otherwise."""
     if re.fullmatch(_WORD, text) and text.lower() not in _YAML_WORDS:
         return text
     if re.fullmatch(_PLAIN_LIST, text):
         return json.loads(text)
-    raise ValueError(f"not a plain value: {text!r}")
+    value = canonical_int(text)
+    if value is None:
+        raise ValueError(f"not a plain value: {text!r}")
+    return value
 
 
-def _read_yaml(stream):
-    """PyYAML's reading of `stream`, with every key unique in its mapping and
-    every integer spelled canonically."""
-    import yaml
-
-    class UniqueKeyLoader(yaml.SafeLoader):
-        def construct_mapping(self, node, deep=False):
-            mapping = super().construct_mapping(node, deep)
-            seen = set()
-            for key_node, _ in node.value:
-                key = self.construct_object(key_node)
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        None, None, f"repeated key {key!r}", key_node.start_mark
-                    )
-                seen.add(key)
-            return mapping
-
-        def construct_canonical_int(self, node):
-            text = self.construct_scalar(node)
-            if not re.fullmatch(_INT, text):
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"integer {text!r} is not spelled canonically", node.start_mark
-                )
-            return int(text)
-
-    UniqueKeyLoader.add_constructor(
-        "tag:yaml.org,2002:int", UniqueKeyLoader.construct_canonical_int
-    )
-    try:
-        return yaml.load(stream, Loader=UniqueKeyLoader)
-    except yaml.YAMLError as exc:
-        raise ToricError(f"invalid YAML: {' '.join(str(exc).split())}")
+def _json_int(text):
+    """A JSON integer spelled canonically; ValueError at -0."""
+    value = canonical_int(text)
+    if value is None:
+        raise ValueError(f"integer {text!r} is not spelled canonically")
+    return value
 
 
 def load_surface_config(path):
-    """Load a surface plus named bundles from a YAML/JSON config file.
+    """Load a surface plus named bundles from a config file.
 
-    Schema: {name: str, rays: [[x, y], ...], bundles: {label: [a_1, ...]}}.
-    A repeated key in any mapping, any other top-level key, an integer not
-    spelled as Python's str spells it (010, +1, 1_0, -0, 0x10, 1:30), or a
-    name or a label that is not a string is a ToricError.  A file in the
-    plain form (see _read_plain) is read without importing PyYAML; any other
-    text is read by PyYAML, to the same data.  Returns (surface,
-    {label: bundle}).
+    The file is UTF-8 text in the plain form (see _read_plain), or else
+    JSON.  Schema: {name: str, rays: [[x, y], ...], bundles: {label: [a_1,
+    ...]}}.  Text in neither form, a repeated key in any mapping, any other
+    top-level key, an integer not spelled as Python's str spells it (010,
+    +1, 1_0, -0, 0x10, 1:30), or a name or a label that is not a string is
+    a ToricError.  Returns (surface, {label: bundle}).
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ToricError(f"config {path} is not UTF-8 text: {exc}") from None
+    try:
+        data = _read_plain(text)
+    except ValueError as plain:
         try:
-            data = _read_plain(raw.decode("ascii"))
-        except ValueError:  # not in the plain form, or not ASCII
-            stream = io.BytesIO(raw)
-            stream.name = fh.name  # PyYAML's error marks name the file
-            data = _read_yaml(stream)
+            data = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
+        except ValueError as exc:
+            raise ToricError(
+                f"config {path} is neither in the plain form ({plain}) nor JSON ({exc})"
+            ) from None
     return _surface_from_config(data)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from nesthilb import cli, engine, fock, verify
+from nesthilb import cli, engine, fock, toric, verify
 from nesthilb.toric import builtin_surface, chern_numbers
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,14 +158,13 @@ def test_different_seeds_same_value():
     assert len(values) == 1
 
 
-def test_seed_env_var_default(monkeypatch):
-    monkeypatch.setenv(cli.DEFAULT_SEED_ENV, "9")
-    _, from_env = run_cli(["integrate", "--surface", "p2", "--n1", "1", "--n2", "0"])
-    monkeypatch.delenv(cli.DEFAULT_SEED_ENV)
-    _, explicit = run_cli(
-        ["integrate", "--surface", "p2", "--n1", "1", "--n2", "0", "--seed", "9"]
-    )
-    assert from_env == explicit
+def test_seed_env_var_is_ignored(monkeypatch):
+    """The seed comes from --seed alone, so $NESTHILB_SEED changes no output."""
+    argv = ["integrate", "--surface", "p2", "--n1", "1", "--n2", "0"]
+    monkeypatch.delenv("NESTHILB_SEED", raising=False)
+    unset = run_cli(argv)
+    monkeypatch.setenv("NESTHILB_SEED", "9")
+    assert run_cli(argv) == unset == run_cli(argv + ["--seed", "0"])
 
 
 def test_config_file_surface(tmp_path):
@@ -211,12 +210,18 @@ PLANE_RAYS = "rays: [[1,0],[0,1],[-1,-1]]\n"
     PLANE_RAYS + "bundles:\n  h: [0x1, 0, 0]\n",
     PLANE_RAYS + "bundles:\n  h: [+1, 0, 0]\n",
     PLANE_RAYS + "bundles:\n  h: [-0, 0, 0]\n",
+    '{"rays": [[1,0],[0,1],[-1,-1]], "bundles": {"h": [1,0,0], "h": [0,1,0]}}',
+    '{"rays": [[1,0],[0,1],[-1,-1]], "bundles": {"h": [-0,0,0]}}',
+    '{"rays": [[1,0],[0,1],[-1,-1]], "bundles": {"h": [1.0,0,0]}}',
+    '{"rays": [[1,0],[0,1],[-1,-1]], "bundles": {"h": [true,0,0]}}',
+    '{"rays": [[1,0],[0,1],[-1,-1]], "bundles": {"h": [NaN,0,0]}}',
 ], ids=["wound-twice", "yaml-syntax", "rays-scalar", "bundles-list", "ray-triple",
         "ray-float", "bundle-float", "bundle-bool", "duplicate-label", "name-list",
         "label-int", "unknown-key", "bundles-empty-list", "bundles-zero", "bundles-false",
         "bundles-null", "label-K", "label-O(1)", "label-coefficients", "ray-octal",
         "bundle-underscore", "bundle-sexagesimal", "bundle-hex", "bundle-plus",
-        "bundle-minus-zero"])
+        "bundle-minus-zero", "json-duplicate-label", "json-minus-zero", "json-float",
+        "json-bool", "json-nan"])
 def test_twice_wound_config_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "surface.yaml"
     path.write_text(config)
@@ -263,7 +268,10 @@ def test_undecodable_config_is_usage_error(tmp_path, capsys):
     path.write_bytes(b"rays: \x80\x81\n")
     code, text = run_cli(["integrate", "--surface", str(path), "--n1", "1", "--n2", "0"])
     assert (code, text) == (cli.EXIT_USAGE, "")
-    assert capsys.readouterr().err.startswith("error: invalid YAML")
+    assert capsys.readouterr().err == (
+        f"error: config {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0x80 "
+        "in position 6: invalid start byte\n"
+    )
 
 
 def test_empty_nesting_range_is_usage_error():
@@ -498,15 +506,20 @@ def test_cli_import_loads_no_process_pool():
 @pytest.mark.parametrize("argv", [
     ["series", "--surface", CONFIG, "--bundle", "fiber", "--cap", "2"],
     ["integrate", "--surface", CONFIG, "--bundle", "section", "--n1", "1", "--n2", "0"],
+    ["integrate", "--surface", "hirzebruch1.json", "--bundle", "section", "--n1", "1",
+     "--n2", "0"],
 ])
-def test_shipped_config_loads_without_pyyaml(argv):
-    """The shipped config is in the plain form, so a run on it never imports yaml."""
+def test_shipped_config_loads_without_pyyaml(tmp_path, argv):
+    """The shipped config is in the plain form, and its data in a JSON file is
+    read by json, so a run on either never imports yaml."""
+    data = toric._read_plain(Path(CONFIG).read_text())
+    (tmp_path / "hirzebruch1.json").write_text(json.dumps(data))
     code = ("import sys, nesthilb.cli; code = nesthilb.cli.main(sys.argv[1:]); "
             "print('yaml' in sys.modules, file=sys.stderr); sys.exit(code)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env)
+                          env=env, cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "False\n")
 
 

@@ -27,7 +27,7 @@ from nesthilb.laurent import LaurentPoly
 from nesthilb.partitions import EMPTY, NestedPair, Partition, enumerate_nested_pairs
 from nesthilb.series import GradedPoly, Series2
 from nesthilb.toric import ToricSurface, builtin_surface, chern_numbers
-from test_toric import surfaces_with_bundles
+from test_toric import global_weight, surfaces_with_bundles
 
 P2 = builtin_surface("p2")
 Q = builtin_surface("p1xp1")
@@ -52,7 +52,7 @@ def _fiber_character(surface, bundle, tup_a, tup_b):
     total = LaurentPoly.zero()
     for c in surface.charts:
         block = engine._global_block(c.u, c.v, tup_a[c.index], tup_b[c.index])
-        total = total + (block if bundle is None else block.shift(bundle.weights[c.index]))
+        total = total + (block if bundle is None else block.shift(global_weight(bundle, c)))
     return total
 
 
@@ -174,9 +174,9 @@ def _fraction_chart_table(chart, nums, dens, keys, spec, cap):
             block = engine._global_block(chart.u, chart.v, pair.outer, pair.inner)
             integrand = LaurentPoly.zero()
             for m in nums:
-                integrand = integrand + block.shift(m.weights[chart.index])
+                integrand = integrand + block.shift(global_weight(m, chart))
             for m in dens:
-                integrand = integrand - block.shift(m.weights[chart.index])
+                integrand = integrand - block.shift(global_weight(m, chart))
             total = total + chern_poly(integrand, spec, cap) * (1 / e)
         table[a, b] = total
     return table
@@ -196,9 +196,9 @@ def _global_chart_table(chart, nums, dens, keys, spec, cap):
             block = engine._global_block(chart.u, chart.v, pair.outer, pair.inner)
             integrand = LaurentPoly.zero()
             for m in nums:
-                integrand = integrand + block.shift(m.weights[chart.index])
+                integrand = integrand + block.shift(global_weight(m, chart))
             for m in dens:
-                integrand = integrand - block.shift(m.weights[chart.index])
+                integrand = integrand - block.shift(global_weight(m, chart))
             terms.append((key, newton_chern(power_sums(integrand, spec, cap)), num, den))
     denom = lcm(*(abs(num) for _, _, num, _ in terms))
     table = {key: [0] * (cap + 1) for key in keys}
@@ -252,7 +252,7 @@ def test_local_twist_pairs_the_global_weight_with_the_chart_rays(surface_bundle,
         surface = ToricSurface(surface.name, surface.rays[::-1])
         bundle = surface.line_bundle(bundle.coeffs[::-1])
     for chart in surface.charts:
-        (w1, w2), ((a1, a2), (b1, b2)) = bundle.weights[chart.index], chart.rays
+        (w1, w2), ((a1, a2), (b1, b2)) = global_weight(bundle, chart), chart.rays
         assert engine._local_twist(chart, bundle) == (w1 * a1 + w2 * a2, w1 * b1 + w2 * b2)
 
 
@@ -418,7 +418,7 @@ def _chart_blocks(surface, bundle, tup_a, tup_b):
     blocks = []
     for c in surface.charts:
         block = engine._global_block(c.u, c.v, tup_a[c.index], tup_b[c.index])
-        blocks.append(block if bundle is None else block.shift(bundle.weights[c.index]))
+        blocks.append(block if bundle is None else block.shift(global_weight(bundle, c)))
     return blocks
 
 

@@ -8,10 +8,11 @@ from itertools import count
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nesthilb import engine, toric
+from nesthilb import cli, engine, toric
 from nesthilb.fock import Lattice
 from nesthilb.toric import (
     ToricError,
@@ -114,6 +115,14 @@ def test_dual_twist_chern_data():
     )
 
 
+def global_weight(bundle, chart):
+    """The bundle's global weight m = -a_i u - a_i+1 v at chart i, the vertex
+    of the divisor polytope there: the reference frame of the tests."""
+    a1 = bundle.coeffs[chart.index]
+    a2 = bundle.coeffs[(chart.index + 1) % len(bundle.coeffs)]
+    return (-a1 * chart.u[0] - a2 * chart.v[0], -a1 * chart.u[1] - a2 * chart.v[1])
+
+
 def test_local_weight_convention():
     # each chart weight pairs to -a_r with both rays r of its cone
     for name in ("p2", "p1xp1", "hirzebruch(1)", "hirzebruch(-7)"):
@@ -122,7 +131,7 @@ def test_local_weight_convention():
         coeffs = [3, -1, 2, 5][:n]
         bundle = surface.line_bundle(coeffs)
         for chart in surface.charts:
-            m = bundle.weights[chart.index]
+            m = global_weight(bundle, chart)
             for offset, r in enumerate(chart.rays):
                 assert m[0] * r[0] + m[1] * r[1] == -coeffs[(chart.index + offset) % n]
 
@@ -183,6 +192,40 @@ def test_shipped_config_loads_and_unknown_keys_are_named(tmp_path):
 PLANE = "rays: [[1, 0], [0, 1], [-1, -1]]\n"
 
 
+def _read_yaml(stream):
+    """PyYAML's reading of `stream`, with every key unique in its mapping and
+    every integer spelled canonically: the oracle of the plain reader."""
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            mapping = super().construct_mapping(node, deep)
+            seen = set()
+            for key_node, _ in node.value:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"repeated key {key!r}", key_node.start_mark
+                    )
+                seen.add(key)
+            return mapping
+
+        def construct_canonical_int(self, node):
+            text = self.construct_scalar(node)
+            if not re.fullmatch(toric._INT, text):
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"integer {text!r} is not spelled canonically", node.start_mark
+                )
+            return int(text)
+
+    UniqueKeyLoader.add_constructor(
+        "tag:yaml.org,2002:int", UniqueKeyLoader.construct_canonical_int
+    )
+    try:
+        return yaml.load(stream, Loader=UniqueKeyLoader)
+    except yaml.YAMLError as exc:
+        raise ToricError(f"invalid YAML: {' '.join(str(exc).split())}")
+
+
 @st.composite
 def _now_and_then(draw, common, rare, one_in):
     """`rare` one draw in `one_in`, else `common`."""
@@ -211,7 +254,7 @@ def _flow_list(items):
 
 
 _flow_lists = _flow_list(st.recursive(_integers, _flow_list, max_leaves=4))
-_values = _now_and_then(_flow_lists, _words, 10)
+_values = _now_and_then(_flow_lists, st.one_of(_words, _integers), 10)
 _tails = _now_and_then(
     st.sampled_from(["", "", " # note", "  #n", " "]), st.sampled_from(["#n", "\t"]), 20
 )
@@ -222,7 +265,7 @@ _indents = _now_and_then(st.just(2), st.sampled_from([0, 1, 4]), 20)
 def near_plain_texts(draw):
     """Texts in or near the plain form: top-level keys with flow values or with
     one block of `- ` items or `label: ` entries, some indented unevenly, some
-    mixing both kinds, among comments and blank lines."""
+    mixing both kinds, among comments and blank lines, some with CRLF line ends."""
     lines = []
     for _ in range(draw(st.integers(1, 4))):
         key, tail = draw(_words), draw(_tails)
@@ -238,7 +281,8 @@ def near_plain_texts(draw):
             lines.append(f"{' ' * indent}{head}{draw(_values)}{draw(_tails)}")
         if draw(st.booleans()):
             lines.append(draw(st.sampled_from(["", "  ", "# note", "  # note"])))
-    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    end = draw(_now_and_then(st.just("\n"), st.just("\r\n"), 5))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,7 +294,7 @@ def test_plain_reader_agrees_with_pyyaml(text):
         plain = toric._read_plain(text)
     except ValueError:
         return
-    assert repr(plain) == repr(toric._read_yaml(text))
+    assert repr(plain) == repr(_read_yaml(text))
 
 
 def test_shipped_configs_and_the_readme_example_are_plain():
@@ -258,24 +302,37 @@ def test_shipped_configs_and_the_readme_example_are_plain():
     texts += re.findall(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(texts) >= 2
     for text in texts:
-        assert repr(toric._read_plain(text)) == repr(toric._read_yaml(text))
+        assert repr(toric._read_plain(text)) == repr(_read_yaml(text))
 
 
 @pytest.mark.parametrize("text", [
-    PLANE + "bundles: {h: [1, 0, 0]}\n",
-    PLANE + "bundles:\n  'h': [1, 0, 0]\n",
-    "rays:\n- [1, 0]\n- [0, 1]\n- [-1, -1]\nbundles:\n  h: [1, 0, 0]\n",
     PLANE.replace("\n", "\r\n") + "bundles:\r\n  h: [1, 0, 0]\r\n",
     '{"rays": [[1, 0], [0, 1], [-1, -1]], "bundles": {"h": [1, 0, 0]}}',
-], ids=["flow-mapping", "quoted-label", "compact-block", "crlf", "json"])
-def test_other_yaml_loads_through_pyyaml(tmp_path, text):
-    with pytest.raises(ValueError):
-        toric._read_plain(text)
+], ids=["crlf", "json"])
+def test_crlf_plain_text_and_json_load(tmp_path, text):
     path = tmp_path / "surface.yaml"
     path.write_bytes(text.encode())
     surface, bundles = load_surface_config(path)
     assert (surface.name, surface.rays) == ("custom", [(1, 0), (0, 1), (-1, -1)])
     assert {label: bundle.coeffs for label, bundle in bundles.items()} == {"h": [1, 0, 0]}
+
+
+@pytest.mark.parametrize("text, reason", [
+    (PLANE + "bundles: {h: [1, 0, 0]}\n", "not a plain value: '{h: [1, 0, 0]}'"),
+    (PLANE + "bundles:\n  'h': [1, 0, 0]\n", 'not a plain line: "  \'h\': [1, 0, 0]"'),
+    ("rays:\n- [1, 0]\n- [0, 1]\n- [-1, -1]\nbundles:\n  h: [1, 0, 0]\n",
+     "misplaced line: '- [1, 0]'"),
+], ids=["flow-mapping", "quoted-label", "compact-block"])
+def test_yaml_outside_the_plain_form_is_usage_error(tmp_path, capsys, text, reason):
+    """PyYAML would read each of these texts, but a config is plain or JSON."""
+    path = tmp_path / "surface.yaml"
+    path.write_text(text)
+    code = cli.main(["integrate", "--surface", str(path), "--n1", "1", "--n2", "0"])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", (
+        f"error: config {path} is neither in the plain form ({reason}) nor JSON "
+        "(Expecting value: line 1 column 1 (char 0))\n"
+    ))
 
 
 def _dot(a, b):
@@ -291,7 +348,7 @@ def _localization_sum(surface, l1, l2):
     )
     return sum(
         Fraction(
-            _dot(l1.weights[c.index], p) * _dot(l2.weights[c.index], p),
+            _dot(global_weight(l1, c), p) * _dot(global_weight(l2, c), p),
             _dot(c.u, p) * _dot(c.v, p),
         )
         for c in surface.charts
