@@ -7,7 +7,6 @@ weight t1^a t2^b.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -34,21 +33,29 @@ class DegenerateSpecializationError(LocalizationError):
     """The numeric specialization killed a weight; the caller must redraw."""
 
 
-def _arm_leg(lam, nu):
-    """f(lam, nu), the sum of t1^(nu'_j - i - 1) t2^(j - lam_i) over the cells
-    (i, j) of lam, where nu'_j counts the parts of nu greater than j."""
-    legs_arms = ((sum(p > j for p in nu) - i - 1, j - lam[i]) for i, j in lam.cells())
-    return LaurentPoly(Counter(legs_arms))
-
-
 @lru_cache(maxsize=None)
 def block_character(mu_a, mu_b):
     """The two-index block V(I_a, I_b) = chi(R, R) - chi(I_a, I_b), from arm
-    and leg lengths as f(mu_a, mu_b) + bar(f(mu_b, mu_a))/(t1 t2) with f =
-    `_arm_leg`: the conjugate of Carlsson-Okounkov's Ext character.  A sum of
-    |mu_a| + |mu_b| weights, none subtracted, it is a genuine character.
+    and leg lengths as f(mu_a, mu_b) + bar(f(mu_b, mu_a))/(t1 t2), where
+    f(lam, nu) sums t1^(nu'_j - i - 1) t2^(j - lam_i) over the cells (i, j)
+    of lam and nu'_j counts the parts of nu greater than j: the conjugate of
+    Carlsson-Okounkov's Ext character.  Both halves fill one term dict, the
+    second as t1^(i - mu_a'_j) t2^(mu_b_i - j - 1) over the cells of mu_b.
+    A sum of |mu_a| + |mu_b| weights, none subtracted, it is a genuine
+    character.
     """
-    return _arm_leg(mu_a, mu_b) + _arm_leg(mu_b, mu_a).bar().shift((-1, -1))
+    width = max(mu_a[:1] + mu_b[:1], default=0)
+    conj_a, conj_b = ([sum(p > j for p in mu) for j in range(width)] for mu in (mu_a, mu_b))
+    terms = {}
+    for i, row in enumerate(mu_a):
+        for j in range(row):
+            weight = (conj_b[j] - i - 1, j - row)
+            terms[weight] = terms.get(weight, 0) + 1
+    for i, row in enumerate(mu_b):
+        for j in range(row):
+            weight = (i - conj_a[j], row - j - 1)
+            terms[weight] = terms.get(weight, 0) + 1
+    return LaurentPoly(terms)
 
 
 @lru_cache(maxsize=None)

@@ -36,6 +36,16 @@ def _coefficients(text):
     return None if None in coeffs else coeffs
 
 
+def _integer(text):
+    """An integer option, spelled as str() spells it, like config integers and
+    bundle coefficients: so --seed 1_0, --cap " +01" and --n1 01 exit 2."""
+    value = canonical_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r} (not an integer spelled canonically)")
+    return value
+
+
 def _in_bundle_grammar(label):
     """Whether a label is O, K, O(...) or integer coefficients a,b,..."""
     return (label in ("O", "K") or label.startswith("O(") and label.endswith(")")
@@ -174,16 +184,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="specialization seed (default 0)")
+        p.add_argument("--seed", type=_integer, default=0, help="specialization seed (default 0)")
 
     p_int = sub.add_parser("integrate", help="one invariant at (n1, n2)")
     p_int.add_argument("--surface", required=True, help="builtin name or config path")
     p_int.add_argument("--bundle", default="O",
                        help="O, K, O(a,b,...), config label, or coefficients a,b,...")
-    p_int.add_argument("--n1", type=int, required=True)
-    p_int.add_argument("--n2", type=int, required=True)
+    p_int.add_argument("--n1", type=_integer, required=True)
+    p_int.add_argument("--n2", type=_integer, required=True)
     p_int.add_argument("--route", choices=("nested", "product", "both"), default="nested")
-    p_int.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_int.add_argument("--jobs", type=_integer, default=1, metavar="N",
                        help="accepted and ignored: the product route's fixed-point "
                             "sum runs serially; N must be positive")
     p_int.add_argument("--format", choices=("json", "csv"), default="json")
@@ -192,7 +202,7 @@ def build_parser():
     p_ser = sub.add_parser("series", help="coefficient table up to a total-degree cap")
     p_ser.add_argument("--surface", required=True)
     p_ser.add_argument("--bundle", default="O")
-    p_ser.add_argument("--cap", type=int, required=True)
+    p_ser.add_argument("--cap", type=_integer, required=True)
     p_ser.add_argument("--route", choices=("nested", "product"), default="nested")
     p_ser.add_argument("--compare", choices=("closed-form",), default=None,
                        help="add the closed-product coefficient and a match flag")
@@ -201,7 +211,7 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("suite", choices=verify.SUITES)
-    p_ver.add_argument("--cap", type=int, default=None)
+    p_ver.add_argument("--cap", type=_integer, default=None)
     common(p_ver)
 
     return parser

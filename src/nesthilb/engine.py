@@ -170,7 +170,8 @@ def _chart_table(chart, nums, dens, keys, spec, cap):
     and `chern_poly` reads the net character at the chart's own weights.
 
     With e = num / den, D_c = lcm(|num|) over the chart's pairs, and each
-    pair adds its integer Chern coefficients times den * (D_c // num)."""
+    pair adds its nonzero integer Chern coefficients times den * (D_c // num)
+    into its key's row in place."""
     local = _local_weights(chart, spec)
     nums = [_local_twist(chart, m) for m in nums]
     dens = [_local_twist(chart, m) for m in dens]
@@ -184,33 +185,52 @@ def _chart_table(chart, nums, dens, keys, spec, cap):
     table = {key: [0] * (cap + 1) for key in keys}
     for key, coeffs, num, den in terms:
         factor = den * (denom // num)
-        table[key] = [t + factor * c for t, c in zip(table[key], coeffs)]
-    return {key: GradedPoly(cap, coeffs) for key, coeffs in table.items()}, denom
+        row = table[key]
+        for k, c in enumerate(coeffs):
+            if c:
+                row[k] += factor * c
+    return {key: GradedPoly(cap, row) for key, row in table.items()}, denom
 
 
 def _nested_sums(surface, nums, dens, grid, spec):
     """The nested localization sums {(n1, n2): GradedPoly of cap n1 + n2} of
     every target of the grid: the product of the integer chart tables,
     keeping only the sizes that fit under a target, over the product of the
-    chart denominators, with one Fraction per coefficient at the end."""
+    chart denominators.
+
+    The product runs on plain integer rows: each entry's nonzero (degree,
+    coefficient) pairs are read once and convolved into its key's row up to
+    the cap.  Only each final target becomes a GradedPoly, with one Fraction
+    per coefficient."""
     keys = _local_keys(grid)
     cap = max(n1 + n2 for n1, n2 in grid)
     fits = set(keys)
-    total = {(0, 0): GradedPoly.one(cap)}
+    total = {(0, 0): [1] + [0] * cap}
     denom = 1
     for chart in surface.charts:
         table, chart_denom = _chart_table(chart, nums, dens, keys, spec, cap)
         denom *= chart_denom
+        entries = [
+            (a, b, [(k, c) for k, c in enumerate(entry.coeffs) if c])
+            for (a, b), entry in table.items()
+        ]
         product = {}
-        for (a1, b1), g1 in total.items():
-            for (a2, b2), g2 in table.items():
+        for (a1, b1), row1 in total.items():
+            terms1 = [(i, x) for i, x in enumerate(row1) if x]
+            for a2, b2, terms2 in entries:
                 key = (a1 + a2, b1 + b2)
-                if key in fits:
-                    product[key] = product.get(key, GradedPoly(cap)) + g1 * g2
+                if key not in fits:
+                    continue
+                row = product.setdefault(key, [0] * (cap + 1))
+                for i, x in terms1:
+                    for j, y in terms2:
+                        if i + j > cap:
+                            break
+                        row[i + j] += x * y
         total = product
     sums = {}
     for n1, n2 in grid:
-        coeffs = total[n1, n2].coeffs[: n1 + n2 + 1]
+        coeffs = total[n1, n2][: n1 + n2 + 1]
         sums[n1, n2] = GradedPoly(n1 + n2, [Fraction(c, denom) for c in coeffs])
     return sums
 

@@ -328,6 +328,48 @@ def test_nonpositive_jobs_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: --jobs must be positive\n"
 
 
+INTEGRATE = ["integrate", "--surface", "p2", "--n1", "1", "--n2", "0"]
+SERIES = ["series", "--surface", "p2", "--cap", "1"]
+
+
+@pytest.mark.parametrize("argv, option, text", [
+    # int() reads each of these, but none is the canonical spelling str(a)
+    (INTEGRATE + ["--seed", "1_0"], "--seed", "1_0"),
+    (["series", "--surface", "p2", "--cap", " +01"], "--cap", " +01"),
+    (["integrate", "--surface", "p2", "--n1", "01", "--n2", "0"], "--n1", "01"),
+    (["integrate", "--surface", "p2", "--n1", "1", "--n2", "-0"], "--n2", "-0"),
+    (INTEGRATE + ["--jobs", "\u0662"], "--jobs", "\u0662"),
+    (["verify", "oracle", "--cap", "1 "], "--cap", "1 "),
+    (SERIES + ["--seed", "x"], "--seed", "x"),
+], ids=["seed", "cap", "n1", "n2", "jobs", "verify-cap", "not-an-int"])
+def test_noncanonical_integer_options_are_usage_errors(capsys, argv, option, text):
+    """The CLI's integer options follow the canonical-integer rule of config
+    integers and bundle coefficients."""
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv, out=io.StringIO())
+    assert err.value.code == cli.EXIT_USAGE
+    message = f"argument {option}: invalid int value: {text!r} (not an integer spelled canonically)"
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SERIES[:-1] + ["-1"], "--cap must be nonnegative"),
+    (["verify", "oracle", "--cap", "-2"], "--cap must be nonnegative"),
+    (["integrate", "--surface", "p2", "--n1", "-1", "--n2", "0"], "n1 and n2 must be nonnegative"),
+    (INTEGRATE + ["--jobs", "-3"], "--jobs must be positive"),
+], ids=["cap", "verify-cap", "n1", "jobs"])
+def test_negative_integer_options_keep_their_messages(capsys, argv, message):
+    code, text = run_cli(argv)
+    assert (code, text) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_canonical_integer_options_are_read():
+    """A canonical negative seed is a seed like any other."""
+    code, text = run_cli(INTEGRATE + ["--seed", "-12", "--jobs", "2"])
+    assert code == 0 and json.loads(text)["records"][0]["value"] == {"num": "9", "den": "1"}
+
+
 def test_bad_bundle_is_usage_error():
     code, _ = run_cli(
         ["integrate", "--surface", "p2", "--bundle", "nope", "--n1", "0", "--n2", "0"]

@@ -163,6 +163,65 @@ def test_factored_kernel_matches_fixed_point_sum(name):
         assert engine._nested_sums(surface, nums, dens, [(n1, n2)], spec) == {(n1, n2): expected}
 
 
+def _graded_nested_sums(surface, nums, dens, grid, spec):
+    """The product of the same chart tables by GradedPoly arithmetic: the
+    reference for the integer rows of `_nested_sums`."""
+    keys = engine._local_keys(grid)
+    cap = max(n1 + n2 for n1, n2 in grid)
+    total = {(0, 0): GradedPoly.one(cap)}
+    denom = 1
+    for chart in surface.charts:
+        table, chart_denom = engine._chart_table(chart, nums, dens, keys, spec, cap)
+        denom *= chart_denom
+        product = {}
+        for (a1, b1), g1 in total.items():
+            for (a2, b2), g2 in table.items():
+                key = (a1 + a2, b1 + b2)
+                if key in keys:
+                    product[key] = product.get(key, GradedPoly(cap)) + g1 * g2
+        total = product
+    return {
+        (n1, n2): GradedPoly(n1 + n2, [Fraction(c, denom) for c in total[n1, n2].coeffs])
+        for n1, n2 in grid
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(surfaces_with_bundles())
+def test_integer_rows_multiply_like_graded_polys(surface_bundle):
+    """The integer-row product of the chart tables equals their GradedPoly
+    product, or raises the same error, for a nums-only integrand and for a
+    nums+dens one whose rows run to the full cap."""
+    surface, bundle = surface_bundle
+    o, k = surface.structure_sheaf(), surface.canonical_bundle()
+    grid = engine.series_grid(4)
+    keys = engine._local_keys(grid)
+    for nums, dens in (([bundle], []), ([bundle, k], [o, o])):
+        for spec in ((13, 29), (1, -3), (2, 1)):
+            expected = _outcome(lambda: _graded_nested_sums(surface, nums, dens, grid, spec))
+            assert _outcome(lambda: engine._nested_sums(surface, nums, dens, grid, spec)) == expected
+            if dens and spec == (13, 29):
+                # K twists every chart block, O leaves it alone: they never cancel
+                table, _ = engine._chart_table(surface.charts[0], nums, dens, keys, spec, 4)
+                assert any(entry.coeffs[4] for entry in table.values())
+
+
+def test_nested_sums_run_no_graded_poly_arithmetic(monkeypatch):
+    """The chart tables multiply as integer rows: no GradedPoly product or
+    sum runs, and the sums equal the GradedPoly reference."""
+    h = Q.line_bundle([1, 0, 0, 0])
+    nums, dens = [h, Q.canonical_bundle()], [Q.structure_sheaf()]
+    grid, spec = engine.series_grid(6), (13, 29)
+    expected = _graded_nested_sums(Q, nums, dens, grid, spec)
+
+    def refuse(*args):
+        raise AssertionError("GradedPoly arithmetic in the nested product")
+
+    for name in ("__mul__", "__rmul__", "__add__"):
+        monkeypatch.setattr(GradedPoly, name, refuse)
+    assert engine._nested_sums(Q, nums, dens, grid, spec) == expected
+
+
 def _fraction_chart_table(chart, nums, dens, keys, spec, cap):
     """One chart's table with one Fraction Euler class per nested pair: the
     reference for the integer chart tables."""
