@@ -102,11 +102,11 @@ def euler_factors(c, spec):
     """Integer Euler class of a character at a numeric specialization: (num, den).
 
     num / den multiplies (a x + b y)^mult over all weights; negative
-    multiplicities divide.  This is the one owner of the pole rule: a
-    nontrivial weight that the specialization (x, y) sends to 0 raises
-    DegenerateSpecializationError, a bad draw; failing that, a trivial
-    weight raises TrivialWeightError (it forces a vanishing or ill-defined
-    class).
+    multiplicities divide.  This is the one owner of the pole rule, and
+    the engine reads it only for Euler classes: a nontrivial weight that the
+    specialization (x, y) sends to 0 raises DegenerateSpecializationError, a
+    bad draw; failing that, a trivial weight raises TrivialWeightError (it
+    forces a vanishing or ill-defined class).
     """
     x, y = spec
     num = den = 1
@@ -134,19 +134,15 @@ def power_sums(c, spec, cap):
 
     p[k] = (-1)^(k-1) sum mult w^k for 1 <= k <= cap (p[0] = 0) over the
     weights w = a x + b y at the numeric specialization (x, y); they add
-    over a sum of characters.  A trivial weight adds nothing, which is what
-    makes top Chern classes of classes with trivial summands vanish.  A
-    nontrivial weight that the specialization kills raises
-    DegenerateSpecializationError, as in `chern_poly` and `euler_factors`.
+    over a sum of characters.  A weight that specializes to 0 adds nothing,
+    whether it is trivial or killed by the draw: Chern classes are
+    polynomials in the weights and have no poles (see `chern_poly`).  This
+    is what makes top Chern classes of classes with trivial summands vanish.
     """
     x, y = spec
     p = [0] * (cap + 1)
     for (a, b), mult in c.terms.items():
         w = a * x + b * y
-        if not w:
-            if (a, b) != TRIVIAL:
-                raise DegenerateSpecializationError("degenerate specialization")
-            continue
         term = -mult
         for k in range(1, cap + 1):
             term *= -w
@@ -177,9 +173,11 @@ def chern_poly(c, spec, cap):
     all weights, truncated at cap, at an integer specialization (x, y).  Each
     factor 1 + w g multiplies in place from the top degree down; a negative
     mult multiplies by the integer series of 1 / (1 + w g) instead.  A
-    trivial weight adds nothing.  A nontrivial weight that the
-    specialization kills raises DegenerateSpecializationError, and a
-    non-integer specialization raises LocalizationError.
+    weight that specializes to 0, trivial or killed by the draw, is the unit
+    factor 1: a total Chern class is a polynomial in the weights, so no draw
+    makes it degenerate, and only an Euler class in a denominator meets the
+    pole rule (`euler_factors`).  A non-integer specialization raises
+    LocalizationError.
     """
     x, y = spec
     if x.denominator != 1 or y.denominator != 1:
@@ -190,8 +188,6 @@ def chern_poly(c, spec, cap):
     for (a, b), mult in c.terms.items():
         w = a * x + b * y
         if not w:
-            if (a, b) != TRIVIAL:
-                raise DegenerateSpecializationError("degenerate specialization")
             continue
         if mult > 0:
             for _ in range(mult):

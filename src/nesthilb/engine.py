@@ -18,10 +18,15 @@ Two independent routes compute the same invariants:
   at a time from cached chart factors, its tangents V(mu, mu) among them.
 
 Both routes read every chart block V(mu_a, mu_b) at the chart's own
-exponents and weights (`_local_weights`), twist it by each bundle's local
-shift (`_local_twist`) and net an integrand's nums against its dens on
-the chart (`_net_integrand`), so a weight that the specialization kills
-raises wherever its net multiplicity is nonzero.  They differ in their
+exponents and weights (`_local_weights`) and twist it by each bundle's
+local shift (`_local_twist`), but each assembles its own integrand: the
+nested route nets the twists of nums against those of dens in one
+character (`_net_integrand`) for its linear factors, and the product
+route adds the signed power sums of each twist.  Only Euler classes meet
+the pole rule (`euler_factors`): the nested tangents, and the product
+route's Hilbert-scheme tangents and top factors.  A Chern class of an
+integrand is a polynomial in the weights, so a weight that the
+specialization kills there is a unit factor.  The routes differ in their
 Chern algorithm (linear factors against Newton's identities) and in
 their summation (table products against the product fixed points).
 
@@ -129,10 +134,11 @@ def _tangent_euler(local, pair):
 
 
 def _net_integrand(block, nums, dens):
-    """The chart block twisted by each local shift of nums, less the block
-    twisted by each of dens, netted in one dict: a dens block cancels the
-    weights that it shares with a nums block, so a killed weight raises
-    only where its net multiplicity on the chart is nonzero."""
+    """The nested route's integrand on one chart: the chart block twisted by
+    each local shift of nums, less the block twisted by each of dens,
+    netted in one dict, so that `chern_poly` reads one character whose
+    linear factors are prod c(nums) / prod c(dens).  The product route
+    assembles its own (`_integrand_table`)."""
     net = {}
     for shifts, sign in ((nums, 1), (dens, -1)):
         for s1, s2 in shifts:
@@ -168,6 +174,7 @@ def _chart_table(chart, nums, dens, keys, spec, cap):
     Like `_tangent_euler` it reads each block at the chart's own exponents,
     twisted by each bundle's local shift and netted by `_net_integrand`,
     and `chern_poly` reads the net character at the chart's own weights.
+    Only the tangents can raise at a killed weight.
 
     With e = num / den, D_c = lcm(|num|) over the chart's pairs, and each
     pair adds its nonzero integer Chern coefficients times den * (D_c // num)
@@ -242,8 +249,10 @@ def _top_table(local, shift):
     Hilbert-scheme tangent), as a cached function of (mu_a, mu_b).  A block
     is a sum of weights, none subtracted (`block_character`), so each is the
     product of its weights, 0 at a trivial weight, and a killed weight raises
-    (`euler_factors`): nothing can cancel it.  A raising entry is not
-    cached, so every read raises."""
+    (`euler_factors`): nothing can cancel it.  Unlike the integrand's Chern
+    classes, a top factor keeps the pole rule: a factor of 0 skips the
+    tangent read at its point, so a 0 caused by the draw could hide a killed
+    tangent weight.  A raising entry is not cached, so every read raises."""
 
     @cache
     def top(mu_a, mu_b):
@@ -258,13 +267,17 @@ def _top_table(local, shift):
 
 @lru_cache(maxsize=None)
 def _integrand_table(local, nums, dens, cap):
-    """Power sums (`power_sums`) at the chart's own weights `local` of one
-    chart's integrand, netted by `_net_integrand` over the local shifts nums
-    and dens, as a cached function of (mu_a, mu_b)."""
+    """Signed power sums (`power_sums`) at the chart's own weights `local`
+    of one chart's integrand, as a cached function of (mu_a, mu_b).  Power
+    sums add, so the block twisted by each local shift of nums adds its own
+    and the block twisted by each of dens subtracts its own."""
 
     @cache
     def integrand(mu_a, mu_b):
-        return power_sums(_net_integrand(block_character(mu_a, mu_b), nums, dens), local, cap)
+        block = block_character(mu_a, mu_b)
+        twists = [power_sums(block.shift(s), local, cap) for s in nums]
+        twists += [power_sums(-block.shift(s), local, cap) for s in dens]
+        return list(map(sum, zip([0] * (cap + 1), *twists)))
 
     return integrand
 
@@ -390,9 +403,13 @@ def _localize(surface, route, nums, dens, grid, seed, tops=_NESTED_LOCUS):
     The integrand is prod c(twist by nums) / prod c(twist by dens).  The
     product route also multiplies by the top Chern classes in `tops`; its
     default cuts the product of Hilbert schemes down to the nested locus.
+    A negative size is a ValueError on both routes; n1 < n2 is one only on
+    the nested route, since a product-route pairing may read it.
     """
     if route == "nested" and tops != _NESTED_LOCUS:
         raise ValueError("only the product route reads tops")
+    if any(n < 0 for target in grid for n in target):
+        raise ValueError("sizes must be nonnegative")
     for bundle in (*nums, *dens, *(b for b, _ in tops if b is not None)):
         check_bundle(surface, bundle)
     if route == "nested":

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nesthilb import engine
+from nesthilb import engine, verify
 from nesthilb.characters import (
     DegenerateSpecializationError,
     LocalizationError,
     TrivialWeightError,
+    block_character,
     chern_poly,
     euler_class,
     euler_factors,
@@ -79,15 +80,26 @@ def _fixed_point_sum(surface, nums, dens, n1, n2, spec):
     return total
 
 
+def _raise_at_killed_weight(char, spec):
+    """The Euler-class rule that a top factor keeps: raise where the spec
+    kills a nontrivial weight of char, as `euler_factors` does."""
+    x, y = spec
+    if any(a * x + b * y == 0 for a, b in char.terms if (a, b) != (0, 0)):
+        raise DegenerateSpecializationError("killed weight in a top factor")
+
+
 def _assembled_point(surface, tops, nums, dens, n1, n2, spec, point):
     """The product route's summand at one product fixed point from the
-    global characters: the reference for the chart-local kernel."""
+    global characters: the reference for the chart-local kernel.  Each top
+    factor raises where a nontrivial weight of its summed fiber blocks is
+    killed; the integrand is read by `chern_poly`, a killed weight as 1."""
     tup1, tup2 = point
     cap = max((2 - len(tops)) * (n1 + n2), 0)
     scalar = 1
     for bundle, swap in tops:
         source, target = (tup2, tup1) if swap else (tup1, tup2)
         char = _fiber_character(surface, bundle, source, target)
+        _raise_at_killed_weight(char, spec)
         scalar *= chern_poly(char, spec, n1 + n2).coeffs[n1 + n2]
         if not scalar:
             return GradedPoly(cap)
@@ -317,15 +329,22 @@ def test_local_twist_pairs_the_global_weight_with_the_chart_rays(surface_bundle,
 
 def test_chart_table_nets_killed_weights_over_nums_and_dens():
     """At (1, -3) the O(1)-twisted blocks of chart 0 lose a weight that its
-    tangents keep.  Alone it raises; cancelled by a dens block it does not,
-    and the table is that of the remaining integrand."""
+    tangents keep.  Alone it is a unit factor of the integrand, and the
+    table equals the global reference; cancelled by a dens block, the table
+    is that of the remaining integrand."""
     chart = P2.charts[0]
     h, k = P2.line_bundle([1, 0, 0]), P2.canonical_bundle()
     keys = engine._local_keys(engine.series_grid(2))
     spec = (1, -3)
-    for table in (engine._chart_table, _global_chart_table):
-        with pytest.raises(DegenerateSpecializationError):
-            table(chart, [h], [], keys, spec, 2)
+    x, y = engine._local_weights(chart, spec)
+    shift = engine._local_twist(chart, h)
+    assert any(
+        (a, b) != (0, 0) and a * x + b * y == 0
+        for key in keys for pair in enumerate_nested_pairs(*key)
+        for a, b in block_character(pair.outer, pair.inner).shift(shift).terms
+    )
+    assert engine._chart_table(chart, [h], [], keys, spec, 2) == (
+        _global_chart_table(chart, [h], [], keys, spec, 2))
     cancelled = engine._chart_table(chart, [h, k], [h], keys, spec, 2)
     assert cancelled == _global_chart_table(chart, [h, k], [h], keys, spec, 2)
     assert cancelled == engine._chart_table(chart, [k], [], keys, spec, 2)
@@ -404,9 +423,9 @@ def test_local_keys_are_the_chart_components(name):
 def _assert_product_kernel_matches(surface, integrands, sizes, specs):
     """At every product fixed point of each size, `_product_sum` gives the
     summand of the global characters, or raises the same error.  Returns the
-    outcomes and the number of summands with a value whose dens blocks hold
-    a killed weight, which the nums blocks must have cancelled."""
-    outcomes, cancelled = set(), 0
+    outcomes and the number of summands with a value whose nums or dens
+    blocks hold a killed weight, which both read as a unit factor."""
+    outcomes, killed = set(), 0
     for n1, n2 in sizes:
         for spec in specs:
             for tops, nums, dens in integrands:
@@ -416,13 +435,12 @@ def _assert_product_kernel_matches(surface, integrands, sizes, specs):
                     assert _outcome(lambda: engine._product_sum(*args, [point])) == expected, (
                         spec, tops, point)
                     outcomes.add(expected if isinstance(expected, type) else "value")
-                    killed = DegenerateSpecializationError
                     if not isinstance(expected, type) and any(
-                        _outcome(lambda: power_sums(block, spec, 0)) is killed
-                        for m in dens for block in _chart_blocks(surface, m, *point)
+                        _outcome(lambda: _raise_at_killed_weight(block, spec))
+                        for m in (*nums, *dens) for block in _chart_blocks(surface, m, *point)
                     ):
-                        cancelled += 1
-    return outcomes, cancelled
+                        killed += 1
+    return outcomes, killed
 
 
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
@@ -437,14 +455,14 @@ def test_product_kernel_matches_assembled_characters(name):
     d = surface.line_bundle([0, 2] + [0] * (k - 2))
     integrands = [
         (engine._NESTED_LOCUS, [h], []),
-        # the h blocks cancel: a weight that one of them loses does not raise
+        # the h blocks cancel: the product route subtracts their power sums
         (engine._NESTED_LOCUS, [h, surface.canonical_bundle()], [h]),
         (((h, False), (d, True)), [], []),
     ]
-    outcomes, cancelled = _assert_product_kernel_matches(
+    outcomes, killed = _assert_product_kernel_matches(
         surface, integrands, ((2, 1), (3, 1)), ((13, 29), (1, 1), (1, -1), (2, 1)))
     assert outcomes == {"value", DegenerateSpecializationError}
-    assert cancelled
+    assert killed
 
 
 def test_product_kernel_matches_assembled_characters_on_random_surfaces():
@@ -483,8 +501,11 @@ def _chart_blocks(surface, bundle, tup_a, tup_b):
 
 def _newton_top(blocks, spec, top):
     """newton_chern of the summed power sums of the chart blocks, read at
-    degree top: the reference for the product route's top factor."""
-    return newton_chern(power_sums(sum(blocks[1:], blocks[0]), spec, top))[top]
+    degree top, raising where a nontrivial weight of their sum is killed:
+    the reference for the product route's top factor."""
+    char = sum(blocks[1:], blocks[0])
+    _raise_at_killed_weight(char, spec)
+    return newton_chern(power_sums(char, spec, top))[top]
 
 
 def _top_factor_cases(surface):
@@ -589,12 +610,12 @@ def _engine_reach():
 
 
 def test_routes_share_no_kernel():
-    """The product route names no nested tangent, Chern algorithm or
-    enumeration, and the nested route no power sum or Newton identity:
-    the two routes stay independent checks of each other."""
+    """The product route names no nested tangent, Chern algorithm, integrand
+    assembly or enumeration, and the nested route no power sum or Newton
+    identity: the two routes stay independent checks of each other."""
     reach = _engine_reach()
     assert {"power_sums", "chern_poly"} <= reach["_localize"]  # read through both routes
-    nested = {"_tangent_euler", "_chart_table", "_nested_sums", "_local_keys"}
+    nested = {"_tangent_euler", "_chart_table", "_nested_sums", "_local_keys", "_net_integrand"}
     product = {"_product_sum", "_top_table", "_integrand_table"}
     for name in product:
         shared = reach[name] & (nested | {"virtual_tangent_character", "chern_poly",
@@ -603,6 +624,30 @@ def test_routes_share_no_kernel():
     for name in nested:
         shared = reach[name] & (product | {"power_sums", "newton_chern"})
         assert not shared, (name, shared)
+
+
+def test_nestprod_ratio_line_catches_a_dens_sign_slip(monkeypatch):
+    """Counting dens with the sign +1 in the nested route's integrand fails
+    exactly the ratio line of nestprod: the product route assembles its
+    integrand on its own, and no other line reads dens."""
+    net = engine._net_integrand
+    monkeypatch.setattr(engine, "_net_integrand",
+                        lambda block, nums, dens: net(block, [*nums, *dens], []))
+    failed = [check.label for check in verify.suite_nestprod(cap=1) if not check.passed]
+    assert failed == ["ratio [O(1), O(1)]/[O] route agreement on p2 up to total degree 1"]
+
+
+@pytest.mark.parametrize("route", ["nested", "product"])
+def test_negative_sizes_are_rejected(route):
+    """A negative size is a ValueError on both routes; the product route
+    still reads n1 < n2, as a pairing of two tops: C(O(1).O(1), n) on p2."""
+    o, h = P2.structure_sheaf(), P2.line_bundle([1, 0, 0])
+    for sizes in ((-1, -2), (1, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="sizes must be nonnegative"):
+            engine.multi_bundle_invariant(P2, [o], [], *sizes, route=route)
+    tops = ((h, False), (h, False))
+    assert [engine.multi_bundle_invariant(P2, [], [], 0, n, route="product", tops=tops)
+            for n in (1, 2)] == [1, 0]
 
 
 def test_product_fixed_points_include_non_nested():
