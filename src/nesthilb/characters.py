@@ -64,11 +64,11 @@ def virtual_tangent_character(pair: NestedPair):
     V(outer, outer) + V(inner, inner) - V(outer, inner), of rank
     |outer| + |inner|, from the arm-leg blocks (`block_character`)."""
     outer, inner = pair
-    return (
-        block_character(outer, outer)
-        + block_character(inner, inner)
-        - block_character(outer, inner)
-    )
+    terms = dict(block_character(outer, outer).terms)
+    for sign, block in ((1, block_character(inner, inner)), (-1, block_character(outer, inner))):
+        for weight, mult in block.terms.items():
+            terms[weight] = terms.get(weight, 0) + sign * mult
+    return LaurentPoly(terms)
 
 
 def block_character_resolution(mu_a, mu_b):
@@ -157,12 +157,13 @@ def newton_chern(p):
     integers, with the signs already in p; each division by k is exact, and
     a remainder raises LocalizationError.
     """
-    e = [1] + [0] * (len(p) - 1)
+    rev, tail = [1], p[1:]  # rev = [e_(k-1), ..., e_0] against tail = [p_1, p_2, ...]
     for k in range(1, len(p)):
-        e[k], rem = divmod(sum(map(mul, e[k - 1 :: -1], p[1 : k + 1])), k)
+        e_k, rem = divmod(sum(map(mul, rev, tail)), k)
         if rem:
             raise LocalizationError(f"Newton's identity left remainder {rem} in degree {k}")
-    return e
+        rev.insert(0, e_k)
+    return rev[::-1]
 
 
 def chern_poly(c, spec, cap):

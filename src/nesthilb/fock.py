@@ -27,9 +27,9 @@ Every coefficient is an int.  `apply_alpha` builds a map
 {state: int} -> {state: int}; `gamma_operator` builds a map
 {state: int} -> {(state, k): int} whose key carries the power k of z,
 so a formal variable is an integer exponent, never a polynomial slot.
-A relation check builds each operator once and applies it to every
-basis state of the full-rank space; the graded trace is taken one
-alphabet at a time, since every factor of it acts on each alphabet alone.
+A relation check builds each operator once and applies it to every basis
+state of the full-rank space.  Every factor of the graded trace acts on
+each alphabet alone, so it is a product of rank-1 traces, each taken once.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from .partitions import partition_tuples
 from .series import linear_power, product_formula
-from .symmetric import exp_series, grading, insert, power_sum, product, shift_map, splits
+from .symmetric import exp_series, grading, power_sum, product, shift_map, splits
 from .toric import check_bundle, intersection_number
 
 
@@ -133,12 +133,16 @@ def apply_alpha(lattice, m, v, cap):
         out = {}
         for state, coeff in x.items():
             if m > 0:
-                for j in range(bisect(state, (m,)), len(state)):  # the factors of mode >= m
-                    mode, idx = state[j]
+                j, end = bisect(state, (m,)), len(state)
+                while j < end:  # factors of mode >= m; a paired one once, from its first copy j
+                    mode, idx = factor = state[j]
+                    copies = bisect(state, factor, j) - j if pairs[idx] else 1
                     if pairs[idx]:
-                        rest = state[:j] + state[j + 1 :]
-                        key = insert(rest, (mode - m, idx)) if mode > m else rest
-                        out[key] = out.get(key, 0) + coeff * pairs[idx]
+                        low = (mode - m, idx)  # h_mode -> h_(mode-m), which sorts below j
+                        k = bisect(state, low, 0, j)
+                        key = state[:k] + (low,) * (mode > m) + state[k:j] + state[j + 1 :]
+                        out[key] = out.get(key, 0) + coeff * pairs[idx] * copies
+                    j += copies
             elif grading(state) - m <= cap:
                 for p, k in terms:
                     key = product(state, p)
@@ -187,8 +191,10 @@ def gamma_commutation_check(lattice, m1, m2, cap):
     Checked on every basis state of grading <= cap.  A term is keyed by
     its state and its power of z1; the power of z2 is the state's grading
     minus the start grading minus that power.  Truncation is exact on the
-    z1-powers up to cap minus the start grading; only that window is
-    compared.
+    z1-powers up to cap minus the start grading, the window compared; the
+    left side stays in it, so a right-side z1^k term takes its binomial to
+    degree window - k only.  Gamma_+ goes once over each z1-power part of
+    the Gamma_- image, Gamma_- once over the Gamma_+ image.
     """
     if cap < 1:
         raise FockError("cap must be at least 1")
@@ -198,17 +204,17 @@ def gamma_commutation_check(lattice, m1, m2, cap):
     for n in range(cap + 1):
         window = cap - n
         binomial = linear_power(1, p, window).coeffs
-        keep = lambda terms: {k: c for k, c in terms.items() if c and k[1] <= window}
         for state in basis_states(lattice.rank, n):
-            lhs, rhs = {}, {}
+            parts = [{} for _ in range(window + 1)]
             for (s, k1), c in minus({state: 1}).items():
-                for (t, _), d in plus({s: c}).items():
-                    lhs[t, k1] = lhs.get((t, k1), 0) + d
-            for (s, _), c in plus({state: 1}).items():
-                for (t, k1), d in minus({s: c}).items():
-                    for j, b in enumerate(binomial):
-                        rhs[t, k1 + j] = rhs.get((t, k1 + j), 0) + b * d
-            if keep(lhs) != keep(rhs):
+                parts[k1][s] = c
+            lhs = {(t, k1): d for k1, part in enumerate(parts)
+                   for (t, _), d in plus(part).items() if d}
+            rhs = {}
+            for (t, k1), d in minus({s: c for (s, _), c in plus({state: 1}).items()}).items():
+                for k in range(k1, window + 1):  # none past the window
+                    rhs[t, k] = rhs.get((t, k), 0) + binomial[k - k1] * d
+            if lhs != {k: c for k, c in rhs.items() if c}:
                 return False
     return True
 
@@ -236,32 +242,36 @@ def w_trace(lattice, m1, m2, cap):
     the rank-1 traces: their boxes convolve.  Returns {(n1, n2): int} over
     the box n1, n2 <= cap, the exact window under the grading cap.
     """
+    d1, d2 = lattice.dual(m1), lattice.dual(m2)  # checks m1 and m2
     box = {(0, 0): 1}
     for i in range(lattice.rank):
-        factor = _alphabet_trace(lattice, m1, m2, i, cap)
+        weights = -lattice.pair_basis(d1, i), -lattice.pair_basis(d2, i)
+        factor = _alphabet_trace(*weights, -m1[i], -m2[i], cap)
         out = {}
         for (a1, a2), c in box.items():
-            for (b1, b2), d in factor.items():
+            for (b1, b2), d in factor:
                 if a1 + b1 <= cap and a2 + b2 <= cap:
                     out[a1 + b1, a2 + b2] = out.get((a1 + b1, a2 + b2), 0) + c * d
         box = out
     return {k: v for k, v in box.items() if v}
 
 
-def _alphabet_trace(lattice, m1, m2, i, cap):
-    """w_trace on the i-th alphabet, whose states are basis_states(1, n).
-
-    A term through a state of grading n2 after W(M1) carries
-    q^n1 z1^(2(n2-n1)), so it lands in the (n1, n2) cell.  Only the diagonal
-    of the last Gamma_- is formed: the sum of G[state - s] y[s] over the
-    sub-multisets s of the state.
+@lru_cache(maxsize=None)
+def _alphabet_trace(w1, w2, e1, e2, cap):
+    """w_trace on one alphabet (states basis_states(1, n)) as a shared tuple
+    of ((n1, n2), int) items, cached on the five integers that fix it: the
+    weights <-M^D, e_i> of Gamma_+(-M^D, z) and exponents -M_i of
+    Gamma_-(-M, -z), M = M1, M2, and the cap.  A term through a state of
+    grading n2 after W(M1) carries q^n1 z1^(2(n2-n1)), so it lands in the
+    (n1, n2) cell.  Only the diagonal of the last Gamma_- is formed: the
+    sum of G[state - s] y[s] over the sub-multisets s of the state.
     """
-    # Gamma_+(-M^D, z) has the weight <-M^D, e_i>; Gamma_-(-M, -z) signs degree d by (-1)^d
-    lower1, lower2 = (shift_map([-lattice.pair_basis(lattice.dual(m), i)]) for m in (m1, m2))
-    signed = lambda m: [{g: (-1) ** d * c for g, c in part.items()}
-                        for d, part in enumerate(exp_series((-m[i],), cap))]
-    raise1 = signed(m1)
-    raise2 = {g: c for part in signed(m2) for g, c in part.items()}
+    lower1, lower2 = shift_map([w1]), shift_map([w2])
+    # Gamma_-(-M, -z) signs degree d by (-1)^d
+    signed = lambda e: [{g: (-1) ** d * c for g, c in part.items()}
+                        for d, part in enumerate(exp_series((e,), cap))]
+    raise1 = signed(e1)
+    raise2 = {g: c for part in signed(e2) for g, c in part.items()}
     box = {}
     for n in range(cap + 1):
         for state in basis_states(1, n):
@@ -278,7 +288,7 @@ def _alphabet_trace(lattice, m1, m2, i, cap):
                 if cb and t:
                     key = (n, grading(b))
                     box[key] = box.get(key, 0) + cb * t
-    return box
+    return tuple(box.items())
 
 
 def trace_product_series(lattice, m1, m2, cap):
@@ -312,23 +322,23 @@ def heisenberg_check(lattice, cap):
     """
     big = 2 * cap  # room so creation before annihilation is not clipped
     rank = range(lattice.rank)
-    alpha = {(m, i): apply_alpha(lattice, m, tuple(int(i == j) for j in rank), big)
-             for m in range(-cap, cap + 1) if m for i in rank}
+    alpha = {m: [apply_alpha(lattice, m, tuple(int(i == j) for j in rank), big) for i in rank]
+             for m in range(-cap, cap + 1) if m}
     for grade in range(cap + 1):
         for state in basis_states(lattice.rank, grade):
             x = {state: 1}
-            ups = {n: [alpha[n, i](x) for i in rank] for n in range(-cap, 0)}
+            ups = {n: [a(x) for a in alpha[n]] for n in range(-cap, 0)}
             for m in range(1, cap + 1):
-                down = [alpha[m, i](x) for i in rank]
+                down = [a(x) for a in alpha[m]]
                 # one n when the two coincide, at 2m = cap + 1
                 for n in dict.fromkeys((-m, m - cap - 1)):
-                    for gi in rank:
-                        for gj in rank:
-                            comm = alpha[m, gi](ups[n][gj])
-                            for s, c in alpha[n, gj](down[gi]).items() if down[gi] else ():
+                    scale = (-1) ** (m - 1) * m if n == -m else 0
+                    for lower, d, row in zip(alpha[m], down, lattice.pairing):
+                        for raise_, up, g in zip(alpha[n], ups[n], row):
+                            comm = lower(up)
+                            for s, c in raise_(d).items() if d else ():
                                 comm[s] = comm.get(s, 0) - c
-                            want = (-1) ** (m - 1) * m * lattice.pairing[gi][gj] if n == -m else 0
-                            comm[state] = comm.get(state, 0) - want
+                            comm[state] = comm.get(state, 0) - scale * g
                             if any(comm.values()):
                                 return False
     return True

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from test_toric import surfaces_with_bundles
 
-from nesthilb import engine, fock, symmetric
+from nesthilb import engine, fock, symmetric, verify
 from nesthilb.fock import Lattice, apply_alpha, gamma_operator
 from nesthilb.laurent import LaurentPoly
+from nesthilb.series import linear_power
 from nesthilb.toric import builtin_surface, intersection_number
 
 P2 = Lattice(builtin_surface("p2"))
@@ -114,10 +115,11 @@ def _alpha_reference(lattice, m, v, x):
 
 @pytest.mark.parametrize("lattice", [P2, QUAD], ids=["p2", "p1xp1"])
 def test_annihilation_matches_sorting_reference(lattice):
+    """Every mode 1-4 on every state to grading 6, repeated factors included."""
     v = (1, 2, -1, 3)[: lattice.rank]  # every basis vector pairs nonzero with v
-    states = [s for n in range(6) for s in fock.basis_states(lattice.rank, n)]
-    for m in (1, 2, 3):
-        op = apply_alpha(lattice, m, v, 5)
+    states = [s for n in range(7) for s in fock.basis_states(lattice.rank, n)]
+    for m in (1, 2, 3, 4):
+        op = apply_alpha(lattice, m, v, 6)
         for state in states:
             out = op({state: 3})
             assert out == _alpha_reference(lattice, m, v, {state: 3}), (m, state)
@@ -209,6 +211,53 @@ def test_gamma_on_vacuum():
     assert gamma_operator(P2, 1, (0, 1, 0), 3)({((2, 1),): 1}) == {
         (((2, 1),), 0): 1, (((1, 1),), -1): 1,
     }
+
+
+def _exchange_reference(lattice, m1, m2, cap):
+    """gamma_commutation_check term by term: Gamma_+ on each term of the
+    Gamma_- image, Gamma_- on each term of the Gamma_+ image, and the whole
+    binomial on each, with every key past the window dropped afterwards."""
+    p = lattice.pair(m1, m2)
+    plus = gamma_operator(lattice, 1, m2, cap)
+    minus = gamma_operator(lattice, -1, m1, cap)
+    for n in range(cap + 1):
+        window = cap - n
+        binomial = linear_power(1, p, window).coeffs
+        keep = lambda terms: {k: c for k, c in terms.items() if c and k[1] <= window}
+        for state in fock.basis_states(lattice.rank, n):
+            lhs, rhs = {}, {}
+            for (s, k1), c in minus({state: 1}).items():
+                for (t, _), d in plus({s: c}).items():
+                    lhs[t, k1] = lhs.get((t, k1), 0) + d
+            for (s, _), c in plus({state: 1}).items():
+                for (t, k1), d in minus({s: c}).items():
+                    for j, b in enumerate(binomial):
+                        rhs[t, k1 + j] = rhs.get((t, k1 + j), 0) + b * d
+            if keep(lhs) != keep(rhs):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["plain", "flipped"])
+def test_exchange_check_matches_term_by_term_reference(monkeypatch, flip):
+    """The grouped, window-bounded exchange check gives the per-term verdict,
+    on a true model and on one whose Gamma_+ takes (1 - t/z) for (1 + t/z)."""
+    if flip:
+        binomials = symmetric.binomials
+        monkeypatch.setattr(symmetric, "binomials",
+                            lambda c, n: [(-1) ** r * b for r, b in enumerate(binomials(c, n))])
+    cases = [
+        (P2, (0, 1, 0), (1, 2, 0)),
+        (QUAD, (0, 1, 0, 0), (0, 0, 1, 0)),
+        (Lattice(builtin_surface("hirzebruch(1)")), (0, 1, -1, 0), (1, 1, 2, -1)),
+    ]
+    verdicts = []
+    for lattice, m1, m2 in cases:
+        for cap in range(1, 5):
+            verdict = fock.gamma_commutation_check(lattice, m1, m2, cap)
+            assert verdict == _exchange_reference(lattice, m1, m2, cap), (m1, m2, cap)
+            verdicts.append(verdict)
+    assert not any(verdicts) if flip else all(verdicts)
 
 
 def test_gamma_commutation():
@@ -357,11 +406,24 @@ def _h_basis_trace(lattice, m1, m2, cap):
 @TWISTED
 def test_trace_equals_full_rank_reference(name, m1, m2):
     """The per-alphabet trace equals the full-rank one at cap 4, past the
-    p-basis reference's depth."""
+    p-basis reference's depth, from a cold rank-1 cache and from a warm one."""
     lattice = Lattice(builtin_surface(name))
-    box = fock.w_trace(lattice, m1, m2, 4)
-    assert all(type(c) is int for c in box.values())
-    assert box == _h_basis_trace(lattice, m1, m2, 4)
+    want = _h_basis_trace(lattice, m1, m2, 4)
+    fock._alphabet_trace.cache_clear()
+    for _ in range(2):
+        box = fock.w_trace(lattice, m1, m2, 4)
+        assert all(type(c) is int for c in box.values())
+        assert box == want
+    assert fock._alphabet_trace.cache_info().hits >= lattice.rank
+
+
+def test_suite_shares_rank1_traces():
+    """The Fock suite's 17 rank-1 traces at cap 4 are 9 distinct ones; seven
+    are the untwisted alphabet."""
+    fock._alphabet_trace.cache_clear()
+    verify.suite_fock(cap=4)
+    info = fock._alphabet_trace.cache_info()
+    assert (info.currsize, info.misses + info.hits) == (9, 17)
 
 
 def _swapped_pairing(surface, b1, b2, n1, n2):
