@@ -8,8 +8,8 @@ weight t1^a t2^b.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, partial, reduce
+from operator import add, mul
 
 from .laurent import LaurentPoly
 from .partitions import NestedPair, staircase_numerator
@@ -151,19 +151,21 @@ def power_sums(c, spec, cap):
 
 
 def newton_chern(p):
-    """The Chern classes [e_0, ..., e_cap] of the signed power sums p.
+    """The Chern classes [e_0, ..., e_cap] of the signed power sums p, as
+    columns: p[k] lists p_k at each of a run of points, and e[k] lists e_k.
 
     Newton's identities k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} p_i, all in
     integers, with the signs already in p; each division by k is exact, and
     a remainder raises LocalizationError.
     """
-    rev, tail = [1], p[1:]  # rev = [e_(k-1), ..., e_0] against tail = [p_1, p_2, ...]
+    e = [[1] * len(p[0])]
     for k in range(1, len(p)):
-        e_k, rem = divmod(sum(map(mul, rev, tail)), k)
+        sums = list(reduce(partial(map, add), map(partial(map, mul), reversed(e), p[1:k + 1])))
+        rem = next(filter(None, (s % k for s in sums)), 0)
         if rem:
             raise LocalizationError(f"Newton's identity left remainder {rem} in degree {k}")
-        rev.insert(0, e_k)
-    return rev[::-1]
+        e.append([s // k for s in sums])
+    return e
 
 
 def chern_poly(c, spec, cap):

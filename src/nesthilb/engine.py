@@ -14,8 +14,8 @@ Two independent routes compute the same invariants:
   for each final coefficient;
 * the product route sums over all pairs of partition tuples (nested or
   not) on the product of two Hilbert schemes, cutting down to the nested
-  locus with the top Chern class of the untwisted fiber class, one point
-  at a time from cached chart factors, its tangents V(mu, mu) among them.
+  locus with the top Chern class of the untwisted fiber class, in column
+  blocks of cached chart factors, its tangents V(mu, mu) among them.
 
 Both routes read every chart block V(mu_a, mu_b) at the chart's own
 exponents and weights (`_local_weights`) and twist it by each bundle's
@@ -41,9 +41,10 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, lru_cache, partial
-from math import gcd, lcm, prod
-from operator import call
+from functools import cache, lru_cache, partial, reduce
+from itertools import compress
+from math import lcm, prod
+from operator import add, call, mul
 
 from .characters import (
     DegenerateSpecializationError,
@@ -62,6 +63,7 @@ from .series import GradedPoly, Series2, product_formula
 from .toric import builtin_surface, check_bundle, chern_numbers
 
 MAX_REDRAWS = 8
+_BLOCK = 256  # product fixed points per column block of `_product_sum`
 
 
 class SpecializationDisagreement(LocalizationError):
@@ -288,19 +290,21 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     tops: list of (bundle-or-None, swap) contributing scalar top Chern
     factors of degree n1+n2 each, swap exchanging the ideals chartwise;
     nums/dens contribute total Chern classes tracked in the formal grading.
-    The grading degree left for extraction is (2 - len(tops)) * (n1 + n2).
+    The grading degree left for extraction is (2 - len(tops)) * (n1 + n2),
+    which `_localize` keeps nonnegative.
 
     Power sums add and Chern and Euler classes multiply over the charts, so
-    every point reads its chart factors from one cached chart-frame function
-    per chart and top factor, and one per chart for the integrand.  It
-    multiplies the chart Euler numbers of each top factor, reading every
-    chart, so that a weight killed in one chart raises even where another
-    chart's factor is 0.  Only where all top factors are nonzero does it
-    read the Hilbert-scheme tangents V(mu, mu) at tup1 and tup2 from the
-    untwisted top tables, cached once per tuple, and sum the integrand's
-    chart power sums over one integer denominator: one Fraction per coefficient.
+    each chart's factors come from one cached function per top factor and
+    one for the integrand, mapped over the chart's column of partitions in
+    blocks of _BLOCK points.  Each top factor reads every chart, so that a
+    weight killed in one chart raises even where another chart's factor is
+    0, and drops the points where it is 0.  Only at the points left does it
+    read the Hilbert-scheme tangents V(mu, mu) from the untwisted top tables,
+    cached once per tuple, and solve Newton's identities on the summed chart
+    power sums column-wise; each block folds into one lcm denominator, and
+    each coefficient becomes one Fraction.
     """
-    cap = max((2 - len(tops)) * (n1 + n2), 0)
+    cap = (2 - len(tops)) * (n1 + n2)
     charts = [(c, _local_weights(c, spec)) for c in surface.charts]
     top_tables = [
         (swap, [_top_table(local, None if b is None else _local_twist(c, b))
@@ -320,26 +324,26 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
 
     acc = [0] * (cap + 1)
     denom = 1
-    for tup1, tup2 in points:
-        scalar = 1
+    for start in range(0, len(points), _BLOCK):
+        tups1, tups2 = zip(*points[start:start + _BLOCK])
+        scalars = [1] * len(tups1)
         for swap, tables in top_tables:
-            mus_a, mus_b = (tup2, tup1) if swap else (tup1, tup2)
-            scalar *= prod(map(call, tables, mus_a, mus_b))
-            if not scalar:
-                break
-        if not scalar:
+            mus_a, mus_b = (tups2, tups1) if swap else (tups1, tups2)
+            for table, col_a, col_b in zip(tables, zip(*mus_a), zip(*mus_b)):
+                scalars = list(map(mul, scalars, map(table, col_a, col_b)))
+            tups1, tups2 = tuple(compress(tups1, scalars)), tuple(compress(tups2, scalars))
+            scalars = list(compress(scalars, scalars))
+        if not scalars:
             continue
-        num = tangent(tup1) * tangent(tup2)
-        e = newton_chern(list(map(sum, zip(*map(call, integrand_tables, tup1, tup2)))))
-        # add scalar / num * e to acc / denom
-        if num < 0:
-            num, scalar = -num, -scalar
-        scale = num // gcd(denom, num)
-        if scale != 1:
-            denom *= scale
-            acc = [a * scale for a in acc]
-        factor = scalar * (denom // num)
-        acc = [a + factor * c for a, c in zip(acc, e)]
+        tangents = list(map(mul, map(tangent, tups1), map(tangent, tups2)))
+        chart_sums = (zip(*map(table, col1, col2))
+                      for table, col1, col2 in zip(integrand_tables, zip(*tups1), zip(*tups2)))
+        e = newton_chern([list(reduce(partial(map, add), p_k)) for p_k in zip(*chart_sums)])
+        # add scalar / tangent * e at each point to acc / denom
+        scale = lcm(denom, *tangents) // denom
+        denom *= scale
+        factors = [s * (denom // t) for s, t in zip(scalars, tangents)]
+        acc = [a * scale + sum(map(mul, factors, e_k)) for a, e_k in zip(acc, e)]
     return GradedPoly(cap, [Fraction(a, denom) for a in acc])
 
 
@@ -404,12 +408,16 @@ def _localize(surface, route, nums, dens, grid, seed, tops=_NESTED_LOCUS):
     product route also multiplies by the top Chern classes in `tops`; its
     default cuts the product of Hilbert schemes down to the nested locus.
     A negative size is a ValueError on both routes; n1 < n2 is one only on
-    the nested route, since a product-route pairing may read it.
+    the nested route, since a product-route pairing may read it.  Three top
+    factors of degree n1 + n2 exceed the product's dimension 2 (n1 + n2):
+    a ValueError at every target but (0, 0).
     """
     if route == "nested" and tops != _NESTED_LOCUS:
         raise ValueError("only the product route reads tops")
     if any(n < 0 for target in grid for n in target):
         raise ValueError("sizes must be nonnegative")
+    if len(tops) > 2 and any(n1 + n2 for n1, n2 in grid):
+        raise ValueError("top factors exceed the dimension")
     for bundle in (*nums, *dens, *(b for b, _ in tops if b is not None)):
         check_bundle(surface, bundle)
     if route == "nested":

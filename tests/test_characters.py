@@ -237,10 +237,16 @@ def test_chern_poly_rejects_non_integer_specialization():
 small_specs = st.tuples(st.integers(-4, 4).filter(bool), st.integers(-4, 4).filter(bool))
 
 
+def newton_chern_at(p):
+    """newton_chern at one point: the Chern classes of one list p of signed
+    power sums, each p_k passed as a column of one entry."""
+    return [e for (e,) in newton_chern([[x] for x in p])]
+
+
 def _newton_chern_poly(c, spec, cap):
     """Chern classes by Newton's identities on the power sums: the product
     route's algorithm."""
-    return GradedPoly(cap, newton_chern(power_sums(c, spec, cap)))
+    return GradedPoly(cap, newton_chern_at(power_sums(c, spec, cap)))
 
 
 virtual_characters = st.dictionaries(
@@ -259,6 +265,17 @@ def test_chern_poly_matches_newton_on_power_sums(c, spec, cap):
     assert chern_poly(c, spec, cap) == _newton_chern_poly(c, spec, cap)
 
 
+@given(st.lists(virtual_characters, min_size=1, max_size=5), small_specs, st.integers(0, 6))
+@settings(max_examples=100)
+def test_newton_chern_solves_each_column(chars, spec, cap):
+    """newton_chern on the power sums of several characters as columns gives,
+    at each point, the Chern classes of that point's character alone."""
+    columns = [list(p) for p in zip(*(power_sums(c, spec, cap) for c in chars))]
+    solved = newton_chern(columns)
+    for i, c in enumerate(chars):
+        assert [e[i] for e in solved] == chern_poly(c, spec, cap).coeffs
+
+
 @given(nontrivial_characters, nontrivial_characters, small_specs, st.integers(0, 6))
 @settings(max_examples=120)
 def test_power_sums_add_over_a_sum(a, b, spec, cap):
@@ -268,7 +285,7 @@ def test_power_sums_add_over_a_sum(a, b, spec, cap):
     pa, pb = power_sums(a, spec, cap), power_sums(b, spec, cap)
     p = power_sums(a + b, spec, cap)
     assert p == [x + y for x, y in zip(pa, pb)]
-    assert GradedPoly(cap, newton_chern(p)) == chern_poly(a + b, spec, cap)
+    assert GradedPoly(cap, newton_chern_at(p)) == chern_poly(a + b, spec, cap)
 
 
 @given(st.lists(nontrivial_characters, min_size=1, max_size=4), small_specs)

@@ -2,7 +2,9 @@
 
 import ast
 from fractions import Fraction
-from math import lcm, prod
+from functools import cache
+from math import gcd, lcm, prod
+from operator import call
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,6 @@ from nesthilb.characters import (
     chern_poly,
     euler_class,
     euler_factors,
-    newton_chern,
     power_sums,
     virtual_tangent_character,
     virtual_tangent_character_resolution,
@@ -28,6 +29,7 @@ from nesthilb.laurent import LaurentPoly
 from nesthilb.partitions import EMPTY, NestedPair, Partition, enumerate_nested_pairs
 from nesthilb.series import GradedPoly, Series2
 from nesthilb.toric import ToricSurface, builtin_surface, chern_numbers
+from test_characters import newton_chern_at
 from test_toric import global_weight, surfaces_with_bundles
 
 P2 = builtin_surface("p2")
@@ -270,7 +272,7 @@ def _global_chart_table(chart, nums, dens, keys, spec, cap):
                 integrand = integrand + block.shift(global_weight(m, chart))
             for m in dens:
                 integrand = integrand - block.shift(global_weight(m, chart))
-            terms.append((key, newton_chern(power_sums(integrand, spec, cap)), num, den))
+            terms.append((key, newton_chern_at(power_sums(integrand, spec, cap)), num, den))
     denom = lcm(*(abs(num) for _, _, num, _ in terms))
     table = {key: [0] * (cap + 1) for key in keys}
     for key, coeffs, num, den in terms:
@@ -489,6 +491,118 @@ def test_product_kernel_matches_assembled_characters_on_random_surfaces():
     assert DegenerateSpecializationError in outcomes
 
 
+def _per_point_product_sum(surface, tops, nums, dens, n1, n2, spec, points):
+    """`engine._product_sum` one point at a time, from the same cached chart
+    tables: the reference for its column blocks and their denominator fold."""
+    cap = (2 - len(tops)) * (n1 + n2)
+    charts = [(c, engine._local_weights(c, spec)) for c in surface.charts]
+    top_tables = [
+        (swap, [engine._top_table(local, None if b is None else engine._local_twist(c, b))
+                for c, local in charts])
+        for b, swap in tops
+    ]
+    hilbert = [engine._top_table(local, None) for _, local in charts]
+    integrand_tables = [
+        engine._integrand_table(local, tuple(engine._local_twist(c, m) for m in nums),
+                                tuple(engine._local_twist(c, m) for m in dens), cap)
+        for c, local in charts
+    ]
+
+    @cache
+    def tangent(tup):
+        return prod(map(call, hilbert, tup, tup))
+
+    acc = [0] * (cap + 1)
+    denom = 1
+    for tup1, tup2 in points:
+        scalar = 1
+        for swap, tables in top_tables:
+            mus_a, mus_b = (tup2, tup1) if swap else (tup1, tup2)
+            scalar *= prod(map(call, tables, mus_a, mus_b))
+            if not scalar:
+                break
+        if not scalar:
+            continue
+        num = tangent(tup1) * tangent(tup2)
+        e = newton_chern_at(list(map(sum, zip(*map(call, integrand_tables, tup1, tup2)))))
+        # add scalar / num * e to acc / denom
+        if num < 0:
+            num, scalar = -num, -scalar
+        scale = num // gcd(denom, num)
+        if scale != 1:
+            denom *= scale
+            acc = [a * scale for a in acc]
+        factor = scalar * (denom // num)
+        acc = [a + factor * c for a, c in zip(acc, e)]
+    return GradedPoly(cap, [Fraction(a, denom) for a in acc])
+
+
+def _assert_blocks_match_per_point(surface, integrands, sizes, specs):
+    """On the whole point list of each size, `_product_sum` gives the per-point
+    loop's coefficients, or raises the same error; returns the outcomes."""
+    outcomes = set()
+    for n1, n2 in sizes:
+        points = engine.enumerate_product_fixed_points(surface, n1, n2)
+        for spec in specs:
+            for tops, nums, dens in integrands:
+                args = (surface, tops, nums, dens, n1, n2, spec, points)
+                expected = _outcome(lambda: _per_point_product_sum(*args))
+                assert _outcome(lambda: engine._product_sum(*args)) == expected, (spec, tops)
+                outcomes.add(expected if isinstance(expected, type) else "value")
+    return outcomes
+
+
+def test_product_blocks_match_the_per_point_loop():
+    """The 3528 product fixed points of (5, 2) on p1 x p1 span many blocks;
+    summed in blocks over one lcm denominator they give the coefficients of
+    the per-point loop."""
+    bundle = Q.line_bundle([1, 1, 0, 0])
+    assert len(engine.enumerate_product_fixed_points(Q, 5, 2)) > 8 * engine._BLOCK
+    outcomes = _assert_blocks_match_per_point(
+        Q, [(engine._NESTED_LOCUS, [bundle], [])], [(5, 2)], [(13, 29), (-41, 6)])
+    assert outcomes == {"value"}
+
+
+def test_product_blocks_match_the_per_point_loop_on_random_surfaces(monkeypatch):
+    """With blocks of 5 points, the whole point lists of (1, 1) and (2, 1) on
+    random surfaces and bundles give the per-point loop's coefficients for
+    [M], [M, K]/[M], [M] without tops and a swapped two-top pairing, or the
+    same error: some list raises at the spec (1, -1), and some list has a
+    value at (13, 29)."""
+    monkeypatch.setattr(engine, "_BLOCK", 5)
+    outcomes = {}
+
+    @settings(max_examples=15, deadline=None)
+    @given(surfaces_with_bundles())
+    def check(surface_bundle):
+        surface, m = surface_bundle
+        k = surface.canonical_bundle()
+        integrands = [
+            (engine._NESTED_LOCUS, [m], []),
+            (engine._NESTED_LOCUS, [m, k], [m]),
+            ((), [m], []),
+            (((m, False), (k, True)), [], []),
+        ]
+        for spec in ((13, 29), (1, -1)):
+            outcomes.setdefault(spec, set()).update(_assert_blocks_match_per_point(
+                surface, integrands, ((1, 1), (2, 1)), [spec]))
+
+    check()
+    assert "value" in outcomes[13, 29]
+    assert DegenerateSpecializationError in outcomes[1, -1]
+
+
+def test_product_blocks_where_every_top_factor_is_zero():
+    """The 2632 non-nested product fixed points of (5, 2) on p1 x p1, in
+    many blocks, all have top factor 0 and sum to the zero class."""
+    bundle = Q.line_bundle([1, 1, 0, 0])
+    apart = [point for point in engine.enumerate_product_fixed_points(Q, 5, 2)
+             if not all(map(Partition.contains, *point))]
+    assert len(apart) == 2632
+    args = (Q, engine._NESTED_LOCUS, [bundle], [], 5, 2, (13, 29), apart)
+    assert engine._product_sum(*args) == _per_point_product_sum(*args) == GradedPoly(7)
+
+
 def _chart_blocks(surface, bundle, tup_a, tup_b):
     """The fiber blocks from tup_a to tup_b, one per chart, twisted by
     `bundle` (None: untwisted)."""
@@ -505,7 +619,7 @@ def _newton_top(blocks, spec, top):
     the reference for the product route's top factor."""
     char = sum(blocks[1:], blocks[0])
     _raise_at_killed_weight(char, spec)
-    return newton_chern(power_sums(char, spec, top))[top]
+    return newton_chern_at(power_sums(char, spec, top))[top]
 
 
 def _top_factor_cases(surface):
@@ -648,6 +762,17 @@ def test_negative_sizes_are_rejected(route):
     tops = ((h, False), (h, False))
     assert [engine.multi_bundle_invariant(P2, [], [], 0, n, route="product", tops=tops)
             for n in (1, 2)] == [1, 0]
+
+
+def test_more_top_factors_than_the_dimension_are_rejected():
+    """Three top factors of degree n1 + n2 exceed the dimension 2 (n1 + n2)
+    of the product at every target but (0, 0), where the empty product of
+    Hilbert schemes gives 1."""
+    tops = ((P2.line_bundle([1, 0, 0]), False),) * 3
+    for sizes in ((1, 0), (0, 1), (2, 1)):
+        with pytest.raises(ValueError, match="top factors exceed the dimension"):
+            engine.multi_bundle_invariant(P2, [], [], *sizes, route="product", tops=tops)
+    assert engine.multi_bundle_invariant(P2, [], [], 0, 0, route="product", tops=tops) == 1
 
 
 def test_product_fixed_points_include_non_nested():

@@ -213,6 +213,21 @@ def test_gamma_on_vacuum():
     }
 
 
+@pytest.mark.parametrize("lattice, v", [(P2, (1, 2, -1)), (QUAD, (0, 1, -1, 2))],
+                         ids=["p2", "p1xp1"])
+def test_gamma_minus_truncates_at_the_cap(lattice, v):
+    """On a basis state of grading n <= cap, the cap-truncated Gamma_- gives
+    the z-powers k = 0 ... cap - n, each landing in grading n + k, and no
+    other: the window that an exchange check bounded by it must respect."""
+    for cap in range(1, 5):
+        minus = gamma_operator(lattice, -1, v, cap)
+        for n in range(cap + 1):
+            for state in fock.basis_states(lattice.rank, n):
+                image = {key: c for key, c in minus({state: 1}).items() if c}
+                assert {k for _, k in image} == set(range(cap - n + 1)), (cap, state)
+                assert all(symmetric.grading(s) == n + k for s, k in image), (cap, state)
+
+
 def _exchange_reference(lattice, m1, m2, cap):
     """gamma_commutation_check term by term: Gamma_+ on each term of the
     Gamma_- image, Gamma_- on each term of the Gamma_+ image, and the whole
