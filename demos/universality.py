@@ -1,8 +1,9 @@
 """Universality: four computations predict every toric surface.
 
 The invariant series depends on (surface, bundle) only through the four
-Chern numbers M^2, M.K, K^2, c2.  Fitting four universal power series
-A1..A4 on two surfaces therefore predicts a third surface with no new
+Chern numbers M^2, M.K, K^2, c2, and its log is linear in them.  A linear
+solve on the log series of four generator pairs on two surfaces gives four
+universal log series l1..l4, which predict a third surface with no new
 localization work.
 """
 
@@ -16,7 +17,7 @@ from nesthilb import (
 
 CAP = 3
 
-print("fitting the universal series on the plane and the quadric ...")
+print("fitting the universal log series on the plane and the quadric ...")
 fit = universal_series_fit(CAP)
 
 f1 = builtin_surface("hirzebruch(1)")
@@ -32,5 +33,5 @@ for coeffs in ([0, 0, 0, 0], [1, 0, 2, 0]):
     print(f"  prediction matches direct computation: {ok}")
 
 print()
-print("A1^(M^2) A2^(M.K) A3^(K^2) A4^(c2) reproduces the series exactly;")
-print("the exponents are exactly the Chern numbers of the pair.")
+print("exp(M^2 l1 + M.K l2 + K^2 l3 + c2 l4) reproduces the series exactly;")
+print("the coefficients are exactly the Chern numbers of the pair.")

@@ -158,7 +158,8 @@ def cmd_series(args, out):
         for row in rows
     ]
     _write(args, payload, header, flat, out)
-    return EXIT_OK
+    mismatch = closed is not None and not all(row["match"] for row in rows)
+    return EXIT_VERIFY_FAIL if mismatch else EXIT_OK
 
 
 def cmd_verify(args, out):

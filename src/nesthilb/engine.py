@@ -526,28 +526,19 @@ def cobordism_generators():
 
 
 def universal_series_fit(cap, seed=0):
-    """Fit the four universal series from the generator computations."""
-    b = [
-        z_nest_series(surface, bundle, cap, seed=seed)
-        for surface, bundle, _ in cobordism_generators()
-    ]
-    a1 = b[0].pow(-1) * b[1] * b[2].pow(Fraction(3, 2)) * b[3].pow(Fraction(-3, 2))
-    a2 = b[2].pow(Fraction(1, 2)) * b[3].pow(Fraction(-1, 2))
-    # The exponent 1/3 is forced by requiring the fit to reproduce the first
-    # generator: with (K^2, c2) = (9, 3) and (8, 4) on the two structure-sheaf
-    # generators, a3^9 a4^3 = b1 and a3^8 a4^4 = b3 have the unique solution
-    # a3 = b1^(1/3) b3^(-1/4), a4 = b1^(-2/3) b3^(3/4).
-    a3 = b[0].pow(Fraction(1, 3)) * b[2].pow(Fraction(-1, 4))
-    a4 = b[0].pow(Fraction(-2, 3)) * b[2].pow(Fraction(3, 4))
-    return (a1, a2, a3, a4)
+    """Log series (l1, l2, l3, l4) with log Z = M^2 l1 + M.K l2 + K^2 l3 + c2 l4,
+    solved from the generators' log series: universality makes it linear."""
+    l = [z_nest_series(surface, bundle, cap, seed=seed).log()
+         for surface, bundle, _ in cobordism_generators()]
+    # generator rows (M^2, M.K, K^2, c2): (0,0,9,3), (1,-3,9,3), (0,0,8,4), (0,-2,8,4)
+    l2 = (l[2] - l[3]) * Fraction(1, 2)
+    l3 = (l[0] * 4 - l[2] * 3) * Fraction(1, 12)
+    l4 = (l[2] * 9 - l[0] * 8) * Fraction(1, 12)
+    return (l[1] - l[0] + l2 * 3, l2, l3, l4)
 
 
 def predicted_series(fit, cn):
-    """Predict the invariant series of any surface from its Chern numbers."""
-    a1, a2, a3, a4 = fit
-    return (
-        a1.pow(cn.M_squared)
-        * a2.pow(cn.M_dot_K)
-        * a3.pow(cn.K_squared)
-        * a4.pow(cn.c2)
-    )
+    """The series exp(M^2 l1 + M.K l2 + K^2 l3 + c2 l4) that the fit predicts
+    for Chern numbers cn."""
+    l1, l2, l3, l4 = fit
+    return (l1 * cn.M_squared + l2 * cn.M_dot_K + l3 * cn.K_squared + l4 * cn.c2).exp()

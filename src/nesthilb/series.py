@@ -5,9 +5,10 @@ GradedPoly is a single-variable truncated polynomial used to carry a
 formal (cohomological) grading through otherwise numeric computations.
 Both store their coefficients as given: integer inputs stay integers, and
 a Fraction appears only where a division (a rational exponent, a log, an
-exp or a division by a constant term) makes one.  The Series2 constructor
-is the one place that drops zero coefficients and terms past the cap;
-every Series2 operation builds its result through it.
+exp or a division by a constant term) makes one.  A Series2 power is
+exp(r log s), so even an integral power may hold Fraction(k, 1).  The
+Series2 constructor is the one place that drops zero coefficients and
+terms past the cap; every Series2 operation builds its result through it.
 """
 
 from __future__ import annotations
@@ -106,36 +107,12 @@ class Series2:
         return result
 
     def pow(self, r):
-        """s^r for rational r, requiring constant term 1."""
-        if self.constant_term() != 1:
-            raise ValueError("non-unit series power")
-        r = Fraction(r)
-        if r == 0:
-            return Series2.one(self.cap)
-        if r.denominator == 1 and abs(r) <= self.cap + 1:
-            n = r.numerator
-            base = self if n > 0 else self.inverse()
-            result = Series2.one(self.cap)
-            for _ in range(abs(n)):
-                result = result * base
-            return result
-        return (self.log() * r).exp()
+        """s^r = exp(r log s) for rational r, requiring constant term 1."""
+        return (self.log() * Fraction(r)).exp()
 
     def inverse(self):
-        """1/s for a series with constant term 1, via 1/(1+x) = sum (-x)^k."""
-        if self.constant_term() != 1:
-            raise ValueError("non-unit series power")
-        x = self - Series2.one(self.cap)
-        result = Series2.one(self.cap)
-        power = Series2.one(self.cap)
-        sign = 1
-        for _ in range(self.cap):
-            power = power * x
-            sign = -sign
-            if not power.terms:
-                break
-            result = result + power * sign
-        return result
+        """1/s for a series with constant term 1."""
+        return self.pow(-1)
 
     def __repr__(self):
         if not self.terms:

@@ -158,7 +158,7 @@ def suite_universality(cap=4, seed=0):
     fit = engine.universal_series_fit(cap, seed=seed)
     f1 = builtin_surface("hirzebruch(1)")
     # hirzebruch(1) has the K^2 and c2 of the generator p1xp1; the blow-up,
-    # with K^2 = 7 and c2 = 5, also tests the fit's a3 and a4
+    # with K^2 = 7 and c2 = 5, also tests the fit's l3 and l4
     blowup = ToricSurface("five-ray blow-up of p2", [(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)])
     cases = [
         (f1, "O", f1.structure_sheaf()),

@@ -76,7 +76,7 @@ def test_criterion_5_closed_form_series():
 
 
 def test_criterion_6_universality():
-    """The four fitted universal series predict two more surfaces exactly."""
+    """The four fitted universal log series predict two more surfaces exactly."""
     assert_checks_pass(
         "universality",
         "universal fit predicts hirzebruch(1)/O to degree 4",

@@ -127,6 +127,22 @@ def test_series_compare_all_match():
     assert all(row["match"] for row in json.loads(text)["rows"])
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_series_compare_mismatch_exits_one(monkeypatch, fmt):
+    """A row off the closed product is a verification failure; the table
+    still prints every row."""
+    closed = engine.closed_form_series
+    monkeypatch.setattr(engine, "closed_form_series", lambda *a: closed(*a) * 2)
+    argv = ["series", "--surface", "p2", "--bundle", "O(1)", "--cap", "2",
+            "--compare", "closed-form", "--format", fmt]
+    code, text = run_cli(argv)
+    assert code == 1
+    if fmt == "json":
+        assert [row["match"] for row in json.loads(text)["rows"]] == [False] * 4
+    else:
+        assert [line.split(",")[-1] for line in text.splitlines()[1:]] == ["false"] * 4
+
+
 def test_csv_and_json_carry_identical_numbers():
     _, json_text = run_cli(["series", "--surface", "p2", "--cap", "2"])
     _, csv_text = run_cli(["series", "--surface", "p2", "--cap", "2",

@@ -38,6 +38,34 @@ def test_pow_inverse(s, r):
     assert s.pow(r) * s.pow(-r) == Series2.one(CAP)
 
 
+integer_unit_series = st.dictionaries(
+    st.tuples(st.integers(0, CAP), st.integers(0, CAP)), st.integers(-5, 5), max_size=5,
+).map(lambda t: Series2(CAP, {**t, (0, 0): 1}))
+
+
+def _geometric_inverse(s):
+    """1/s as the geometric series sum (-x)^k in x = s - 1."""
+    x = s - Series2.one(s.cap)
+    result, power = Series2.one(s.cap), Series2.one(s.cap)
+    for _ in range(s.cap):
+        power = power * -x
+        result = result + power
+    return result
+
+
+@given(integer_unit_series, st.integers(-4, 6))
+@settings(max_examples=60)
+def test_integer_pow_is_the_repeated_product(s, n):
+    """exp(n log s) equals the n-fold product of s, or of its geometric
+    inverse for n < 0; s times s.inverse() is one."""
+    base = s if n >= 0 else _geometric_inverse(s)
+    expected = Series2.one(CAP)
+    for _ in range(abs(n)):
+        expected = expected * base
+    assert s.pow(n) == expected
+    assert s * s.inverse() == Series2.one(CAP)
+
+
 @given(unit_series)
 def test_exp_log_roundtrip(s):
     assert s.log().exp() == s
