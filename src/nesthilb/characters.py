@@ -13,7 +13,6 @@ from operator import add, mul
 
 from .laurent import LaurentPoly
 from .partitions import NestedPair, staircase_numerator
-from .series import GradedPoly
 
 TRIVIAL = (0, 0)
 
@@ -171,16 +170,16 @@ def newton_chern(p):
 def chern_poly(c, spec, cap):
     """Total equivariant Chern class of a character, graded formally.
 
-    Returns the GradedPoly whose degree-k coefficient is the specialization
-    of the k-th Chern class of the product of (1 + g (a x + b y))^mult over
-    all weights, truncated at cap, at an integer specialization (x, y).  Each
-    factor 1 + w g multiplies in place from the top degree down; a negative
-    mult multiplies by the integer series of 1 / (1 + w g) instead.  A
-    weight that specializes to 0, trivial or killed by the draw, is the unit
-    factor 1: a total Chern class is a polynomial in the weights, so no draw
-    makes it degenerate, and only an Euler class in a denominator meets the
-    pole rule (`euler_factors`).  A non-integer specialization raises
-    LocalizationError.
+    Returns the integer list [e_0, ..., e_cap] whose entry e_k is the
+    specialization of the k-th Chern class of the product of
+    (1 + g (a x + b y))^mult over all weights, truncated at cap, at an
+    integer specialization (x, y).  Each factor 1 + w g multiplies in place
+    from the top degree down; a negative mult multiplies by the integer
+    series of 1 / (1 + w g) instead.  A weight that specializes to 0,
+    trivial or killed by the draw, is the unit factor 1: a total Chern class
+    is a polynomial in the weights, so no draw makes it degenerate, and only
+    an Euler class in a denominator meets the pole rule (`euler_factors`).
+    A non-integer specialization raises LocalizationError.
     """
     x, y = spec
     if x.denominator != 1 or y.denominator != 1:
@@ -203,4 +202,4 @@ def chern_poly(c, spec, cap):
             for _ in range(-mult):
                 for k in range(1, cap + 1):
                     e[k] -= w * e[k - 1]
-    return GradedPoly(cap, e)
+    return e

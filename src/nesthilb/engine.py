@@ -10,8 +10,7 @@ Two independent routes compute the same invariants:
   sum over the fixed points of every (n1, n2) at once is the product over
   the charts of local tables {(a, b): sum over the one-chart nested pairs
   of sizes (a, b)}, truncated to the requested grid.  Each table holds
-  integers over one chart denominator, so the route makes a Fraction only
-  for each final coefficient;
+  integers over one chart denominator;
 * the product route sums over all pairs of partition tuples (nested or
   not) on the product of two Hilbert schemes, cutting down to the nested
   locus with the top Chern class of the untwisted fiber class, in column
@@ -31,9 +30,11 @@ Chern algorithm (linear factors against Newton's identities) and in
 their summation (table products against the product fixed points).
 
 The partition tuples come from `partitions.partition_tuples`.  All
-arithmetic is exact; every value is computed at two generic numeric
-specializations of the torus weights, which must agree.  The engine returns
-values with their specializations; the CLI labels and encodes them.
+arithmetic is exact: both routes return integer rows over one positive
+denominator, and only each final value becomes a Fraction.  Every value
+is computed at two generic numeric specializations of the torus weights,
+which must agree.  The engine returns values with their specializations;
+the CLI labels and encodes them.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .characters import (
 )
 from .laurent import LaurentPoly
 from .partitions import Partition, enumerate_nested_pairs, partition_tuples
-from .series import GradedPoly, Series2, product_formula
+from .series import Series2, product_formula
 from .toric import builtin_surface, check_bundle, chern_numbers
 
 MAX_REDRAWS = 8
@@ -169,9 +170,9 @@ def _local_keys(grid):
 
 
 def _chart_table(chart, nums, dens, keys, spec, cap):
-    """One chart's integer table and its denominator D_c: ({(a, b): GradedPoly},
-    D_c), where entry / D_c is the sum of c(integrand) / e(tangent) over the
-    nested pairs of sizes (a, b) on this chart.
+    """One chart's integer table and its denominator D_c: ({(a, b): row}, D_c),
+    where row / D_c lists by degree up to cap the sum of c(integrand) /
+    e(tangent) over the nested pairs of sizes (a, b) on this chart.
 
     Like `_tangent_euler` it reads each block at the chart's own exponents,
     twisted by each bundle's local shift and netted by `_net_integrand`,
@@ -189,7 +190,7 @@ def _chart_table(chart, nums, dens, keys, spec, cap):
         for pair in enumerate_nested_pairs(*key):
             num, den = _tangent_euler(local, pair)
             net = _net_integrand(block_character(pair.outer, pair.inner), nums, dens)
-            terms.append((key, chern_poly(net, local, cap).coeffs, num, den))
+            terms.append((key, chern_poly(net, local, cap), num, den))
     denom = lcm(*(abs(num) for _, _, num, _ in terms))
     table = {key: [0] * (cap + 1) for key in keys}
     for key, coeffs, num, den in terms:
@@ -198,19 +199,17 @@ def _chart_table(chart, nums, dens, keys, spec, cap):
         for k, c in enumerate(coeffs):
             if c:
                 row[k] += factor * c
-    return {key: GradedPoly(cap, row) for key, row in table.items()}, denom
+    return table, denom
 
 
 def _nested_sums(surface, nums, dens, grid, spec):
-    """The nested localization sums {(n1, n2): GradedPoly of cap n1 + n2} of
-    every target of the grid: the product of the integer chart tables,
-    keeping only the sizes that fit under a target, over the product of the
-    chart denominators.
+    """The nested localization sums {(n1, n2): (row, denom)} of every target
+    of the grid: the product of the integer chart tables, keeping only the
+    sizes that fit under a target, as a row of n1 + n2 + 1 ints over the
+    product of the chart denominators, which is positive.
 
-    The product runs on plain integer rows: each entry's nonzero (degree,
-    coefficient) pairs are read once and convolved into its key's row up to
-    the cap.  Only each final target becomes a GradedPoly, with one Fraction
-    per coefficient."""
+    Each table row's nonzero (degree, coefficient) pairs are read once and
+    convolved into its key's row up to the cap."""
     keys = _local_keys(grid)
     cap = max(n1 + n2 for n1, n2 in grid)
     fits = set(keys)
@@ -220,8 +219,8 @@ def _nested_sums(surface, nums, dens, grid, spec):
         table, chart_denom = _chart_table(chart, nums, dens, keys, spec, cap)
         denom *= chart_denom
         entries = [
-            (a, b, [(k, c) for k, c in enumerate(entry.coeffs) if c])
-            for (a, b), entry in table.items()
+            (a, b, [(k, c) for k, c in enumerate(row) if c])
+            for (a, b), row in table.items()
         ]
         product = {}
         for (a1, b1), row1 in total.items():
@@ -237,11 +236,7 @@ def _nested_sums(surface, nums, dens, grid, spec):
                             break
                         row[i + j] += x * y
         total = product
-    sums = {}
-    for n1, n2 in grid:
-        coeffs = total[n1, n2][: n1 + n2 + 1]
-        sums[n1, n2] = GradedPoly(n1 + n2, [Fraction(c, denom) for c in coeffs])
-    return sums
+    return {(n1, n2): (total[n1, n2][: n1 + n2 + 1], denom) for n1, n2 in grid}
 
 
 @lru_cache(maxsize=None)
@@ -301,8 +296,8 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
     0, and drops the points where it is 0.  Only at the points left does it
     read the Hilbert-scheme tangents V(mu, mu) from the untwisted top tables,
     cached once per tuple, and solve Newton's identities on the summed chart
-    power sums column-wise; each block folds into one lcm denominator, and
-    each coefficient becomes one Fraction.
+    power sums column-wise; each block folds into one lcm denominator.
+    Returns (row, denom): cap + 1 ints over that positive denominator.
     """
     cap = (2 - len(tops)) * (n1 + n2)
     charts = [(c, _local_weights(c, spec)) for c in surface.charts]
@@ -344,7 +339,7 @@ def _product_sum(surface, tops, nums, dens, n1, n2, spec, points):
         denom *= scale
         factors = [s * (denom // t) for s, t in zip(scalars, tangents)]
         acc = [a * scale + sum(map(mul, factors, e_k)) for a, e_k in zip(acc, e)]
-    return GradedPoly(cap, [Fraction(a, denom) for a in acc])
+    return acc, denom
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +351,13 @@ def draw_specialization(rng):
 
 
 def _dual_spec_graded(compute, seed):
-    """Run `compute(spec)`, a dict {target: GradedPoly}, at two agreeing
-    generic specializations; returns ({target: top coefficient}, specs).
+    """Run `compute(spec)`, {target: (int row, denom > 0)}, at two agreeing
+    generic specializations; returns ({target: Fraction(row[-1], denom)}, specs).
 
     A draw that is degenerate or repeats the earlier spec is redrawn, up to
     MAX_REDRAWS times for each value; checks at every target that the
-    coefficients below the top degree `graded.cap` vanish and that the top
-    coefficient is identical at both specializations.
+    entries below the top degree vanish and that the value is identical at
+    both specializations.
     """
     rng = random.Random(seed)
     values = []
@@ -373,17 +368,17 @@ def _dual_spec_graded(compute, seed):
             if spec in specs:
                 continue
             try:
-                graded = compute(spec)
+                rows = compute(spec)
             except DegenerateSpecializationError:
                 continue
             specs.append(spec)
-            for target, poly in graded.items():
-                for k in range(poly.cap):
-                    if poly.coeffs[k] != 0:
+            for target, (row, _) in rows.items():
+                for k, c in enumerate(row[:-1]):
+                    if c:
                         raise SpecializationDisagreement(
                             f"nonzero sub-degree coefficient at degree {k} of {target}"
                         )
-            values.append({target: poly.coeffs[poly.cap] for target, poly in graded.items()})
+            values.append({target: Fraction(row[-1], denom) for target, (row, denom) in rows.items()})
             break
         else:
             raise DegenerateSpecializationError(

@@ -203,7 +203,7 @@ def gamma_commutation_check(lattice, m1, m2, cap):
     minus = gamma_operator(lattice, -1, m1, cap)
     for n in range(cap + 1):
         window = cap - n
-        binomial = linear_power(1, p, window).coeffs
+        binomial = linear_power(1, p, window)
         for state in basis_states(lattice.rank, n):
             parts = [{} for _ in range(window + 1)]
             for (s, k1), c in minus({state: 1}).items():

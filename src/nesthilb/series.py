@@ -1,10 +1,11 @@
 """Truncated power series with exact coefficients.
 
-Series2 is a bivariate series in q1, q2 truncated by total degree.
-GradedPoly is a single-variable truncated polynomial used to carry a
-formal (cohomological) grading through otherwise numeric computations.
-Both store their coefficients as given: integer inputs stay integers, and
-a Fraction appears only where a division (a rational exponent, a log, an
+Series2 is a bivariate series in q1, q2 truncated by total degree, and
+`linear_power` lists a binomial's coefficients in one formal grading.
+GradedPoly, a truncated polynomial in that grading, is no engine format:
+no kernel builds one, and the tests use it as reference arithmetic.  All
+keep their coefficients as given: integer inputs stay integers, and a
+Fraction appears only where a division (a rational exponent, a log, an
 exp or a division by a constant term) makes one.  A Series2 power is
 exp(r log s), so even an integral power may hold Fraction(k, 1).  The
 Series2 constructor is the one place that drops zero coefficients and
@@ -132,8 +133,10 @@ class Series2:
 
 
 def binomial_factor_series(d1, d2, r, cap):
-    """(1 - q1^d1 q2^d2)^r truncated by total degree, r rational."""
-    coeffs = linear_power(-1, r, cap // (d1 + d2)).coeffs
+    """(1 - q1^d1 q2^d2)^r truncated by total degree, r rational, d1 + d2 > 0."""
+    if d1 + d2 <= 0:
+        raise ValueError("factor monomials must have positive total degree")
+    coeffs = linear_power(-1, r, cap // (d1 + d2))
     return Series2(cap, {(k * d1, k * d2): c for k, c in enumerate(coeffs)})
 
 
@@ -217,7 +220,7 @@ class GradedPoly:
 
 
 def linear_power(weight, mult, cap):
-    """(1 + weight * g)^mult truncated at cap, C(mult, k) weight^k in degree k:
+    """(1 + weight * g)^mult truncated at cap, the list of C(mult, k) weight^k:
     an integer mult, negative included, takes the exact integer recurrence
     C(mult, k) = C(mult, k - 1) (mult - k + 1) / k, a Fraction mult takes it
     over Fraction."""
@@ -228,4 +231,4 @@ def linear_power(weight, mult, cap):
         else:
             binomial *= Fraction(mult - k + 1, k)
         coeffs.append(binomial * weight**k)
-    return GradedPoly(cap, coeffs)
+    return coeffs

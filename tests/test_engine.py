@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nesthilb import engine, verify
+from nesthilb import characters, engine, fock, verify
 from nesthilb.characters import (
     DegenerateSpecializationError,
     LocalizationError,
@@ -30,6 +30,7 @@ from nesthilb.partitions import EMPTY, NestedPair, Partition, enumerate_nested_p
 from nesthilb.series import GradedPoly, Series2
 from nesthilb.toric import ToricSurface, builtin_surface, chern_numbers
 from test_characters import newton_chern_at
+from test_series import graded
 from test_toric import global_weight, surfaces_with_bundles
 
 P2 = builtin_surface("p2")
@@ -78,8 +79,13 @@ def _fixed_point_sum(surface, nums, dens, n1, n2, spec):
     for outer, inner in engine.enumerate_global_fixed_points(surface, n1, n2):
         e = euler_class(_tangent(surface, outer, inner), spec)
         integrand = _integrand_character(surface, nums, dens, outer, inner)
-        total = total + chern_poly(integrand, spec, cap) * (1 / e)
+        total = total + graded(chern_poly(integrand, spec, cap)) * (1 / e)
     return total
+
+
+def _graded_sums(sums):
+    """{target: (row, denom)} from `_nested_sums` as {target: GradedPoly}."""
+    return {target: graded(row, denom) for target, (row, denom) in sums.items()}
 
 
 def _raise_at_killed_weight(char, spec):
@@ -102,12 +108,12 @@ def _assembled_point(surface, tops, nums, dens, n1, n2, spec, point):
         source, target = (tup2, tup1) if swap else (tup1, tup2)
         char = _fiber_character(surface, bundle, source, target)
         _raise_at_killed_weight(char, spec)
-        scalar *= chern_poly(char, spec, n1 + n2).coeffs[n1 + n2]
+        scalar *= chern_poly(char, spec, n1 + n2)[n1 + n2]
         if not scalar:
             return GradedPoly(cap)
     e = euler_class(_tangent(surface, tup1, tup1) + _tangent(surface, tup2, tup2), spec)
     integrand = _integrand_character(surface, nums, dens, tup1, tup2)
-    return chern_poly(integrand, spec, cap) * (scalar / e)
+    return graded(chern_poly(integrand, spec, cap)) * (scalar / e)
 
 
 def _outcome(compute):
@@ -172,9 +178,10 @@ def test_factored_kernel_matches_fixed_point_sum(name):
     assert sorted(sums) == sorted(grid)
     for n1, n2 in grid:
         expected = _fixed_point_sum(surface, nums, dens, n1, n2, spec)
-        assert sums[n1, n2] == expected, (n1, n2)
+        assert graded(*sums[n1, n2]) == expected, (n1, n2)
         # the one-point grid of multi_bundle_invariant and invariant_record
-        assert engine._nested_sums(surface, nums, dens, [(n1, n2)], spec) == {(n1, n2): expected}
+        one_point = engine._nested_sums(surface, nums, dens, [(n1, n2)], spec)
+        assert _graded_sums(one_point) == {(n1, n2): expected}
 
 
 def _graded_nested_sums(surface, nums, dens, grid, spec):
@@ -189,15 +196,12 @@ def _graded_nested_sums(surface, nums, dens, grid, spec):
         denom *= chart_denom
         product = {}
         for (a1, b1), g1 in total.items():
-            for (a2, b2), g2 in table.items():
+            for (a2, b2), row2 in table.items():
                 key = (a1 + a2, b1 + b2)
                 if key in keys:
-                    product[key] = product.get(key, GradedPoly(cap)) + g1 * g2
+                    product[key] = product.get(key, GradedPoly(cap)) + g1 * graded(row2)
         total = product
-    return {
-        (n1, n2): GradedPoly(n1 + n2, [Fraction(c, denom) for c in total[n1, n2].coeffs])
-        for n1, n2 in grid
-    }
+    return {(n1, n2): graded(total[n1, n2].coeffs[: n1 + n2 + 1], denom) for n1, n2 in grid}
 
 
 @settings(max_examples=25, deadline=None)
@@ -212,12 +216,13 @@ def test_integer_rows_multiply_like_graded_polys(surface_bundle):
     keys = engine._local_keys(grid)
     for nums, dens in (([bundle], []), ([bundle, k], [o, o])):
         for spec in ((13, 29), (1, -3), (2, 1)):
-            expected = _outcome(lambda: _graded_nested_sums(surface, nums, dens, grid, spec))
-            assert _outcome(lambda: engine._nested_sums(surface, nums, dens, grid, spec)) == expected
+            args = (surface, nums, dens, grid, spec)
+            expected = _outcome(lambda: _graded_nested_sums(*args))
+            assert _outcome(lambda: _graded_sums(engine._nested_sums(*args))) == expected
             if dens and spec == (13, 29):
                 # K twists every chart block, O leaves it alone: they never cancel
                 table, _ = engine._chart_table(surface.charts[0], nums, dens, keys, spec, 4)
-                assert any(entry.coeffs[4] for entry in table.values())
+                assert any(row[4] for row in table.values())
 
 
 def test_nested_sums_run_no_graded_poly_arithmetic(monkeypatch):
@@ -233,7 +238,7 @@ def test_nested_sums_run_no_graded_poly_arithmetic(monkeypatch):
 
     for name in ("__mul__", "__rmul__", "__add__"):
         monkeypatch.setattr(GradedPoly, name, refuse)
-    assert engine._nested_sums(Q, nums, dens, grid, spec) == expected
+    assert _graded_sums(engine._nested_sums(Q, nums, dens, grid, spec)) == expected
 
 
 def _fraction_chart_table(chart, nums, dens, keys, spec, cap):
@@ -250,7 +255,7 @@ def _fraction_chart_table(chart, nums, dens, keys, spec, cap):
                 integrand = integrand + block.shift(global_weight(m, chart))
             for m in dens:
                 integrand = integrand - block.shift(global_weight(m, chart))
-            total = total + chern_poly(integrand, spec, cap) * (1 / e)
+            total = total + graded(chern_poly(integrand, spec, cap)) * (1 / e)
         table[a, b] = total
     return table
 
@@ -278,7 +283,7 @@ def _global_chart_table(chart, nums, dens, keys, spec, cap):
     for key, coeffs, num, den in terms:
         factor = den * (denom // num)
         table[key] = [t + factor * c for t, c in zip(table[key], coeffs)]
-    return {key: GradedPoly(cap, coeffs) for key, coeffs in table.items()}, denom
+    return table, denom
 
 
 def _assert_chart_tables_match(surface, integrands, specs, cap):
@@ -355,23 +360,31 @@ def test_chart_table_nets_killed_weights_over_nums_and_dens():
 @pytest.mark.parametrize("name", ["p2", "p1xp1", "hirzebruch(1)"])
 def test_chart_tables_are_integral(name):
     """Every chart table entry holds ints, and over the chart denominator
-    it is the sum of Fraction Euler class quotients over the nested pairs."""
+    it is the sum of Fraction Euler class quotients over the nested pairs.
+    The rows that both routes return hold ints over a positive int too."""
     surface = builtin_surface(name)
     k = len(surface.charts)
     nums = [surface.line_bundle([1] + [0] * (k - 1)), surface.canonical_bundle()]
     dens = [surface.line_bundle([0, 2] + [0] * (k - 2))]
     spec = (13, 29)
     cap = 6
-    keys = engine._local_keys(engine.series_grid(cap))
+    grid = engine.series_grid(cap)
+    keys = engine._local_keys(grid)
     for chart in surface.charts:
         table, denom = engine._chart_table(chart, nums, dens, keys, spec, cap)
         assert type(denom) is int and denom > 0
         reference = _fraction_chart_table(chart, nums, dens, keys, spec, cap)
         assert sorted(table) == keys
-        for key, entry in table.items():
-            assert all(type(c) is int for c in entry.coeffs), (chart.index, key)
-            assert [Fraction(c, denom) for c in entry.coeffs] == reference[key].coeffs, (
-                chart.index, key)
+        for key, row in table.items():
+            assert all(type(c) is int for c in row), (chart.index, key)
+            assert graded(row, denom) == reference[key], (chart.index, key)
+    sums = engine._nested_sums(surface, nums, dens, grid, spec)
+    points = engine.enumerate_product_fixed_points(surface, 3, 1)
+    product = engine._product_sum(surface, engine._NESTED_LOCUS, nums, dens, 3, 1, spec, points)
+    assert sorted(sums) == sorted(grid)
+    for target, (row, denom) in [*sums.items(), ((3, 1), product)]:
+        assert type(denom) is int and denom > 0, target
+        assert all(type(c) is int for c in row), target
 
 
 def test_chart_tables_catch_killed_and_trivial_tangent_weights(monkeypatch):
@@ -380,7 +393,7 @@ def test_chart_tables_catch_killed_and_trivial_tangent_weights(monkeypatch):
     grid = engine.series_grid(2)
     with pytest.raises(DegenerateSpecializationError):
         engine._nested_sums(P2, [], [], grid, (1, 1))
-    assert engine._nested_sums(P2, [], [], grid, (13, 29))[0, 0].coeffs == [1]
+    assert graded(*engine._nested_sums(P2, [], [], grid, (13, 29))[0, 0]).coeffs == [1]
     monkeypatch.setattr(engine, "virtual_tangent_character", lambda pair: LaurentPoly({(0, 0): 1}))
     monkeypatch.setattr(engine, "_tangent_euler", engine._tangent_euler.__wrapped__)
     with pytest.raises(TrivialWeightError):
@@ -434,8 +447,8 @@ def _assert_product_kernel_matches(surface, integrands, sizes, specs):
                 for point in engine.enumerate_product_fixed_points(surface, n1, n2):
                     args = (surface, tops, nums, dens, n1, n2, spec)
                     expected = _outcome(lambda: _assembled_point(*args, point))
-                    assert _outcome(lambda: engine._product_sum(*args, [point])) == expected, (
-                        spec, tops, point)
+                    got = _outcome(lambda: graded(*engine._product_sum(*args, [point])))
+                    assert got == expected, (spec, tops, point)
                     outcomes.add(expected if isinstance(expected, type) else "value")
                     if not isinstance(expected, type) and any(
                         _outcome(lambda: _raise_at_killed_weight(block, spec))
@@ -547,7 +560,8 @@ def _assert_blocks_match_per_point(surface, integrands, sizes, specs):
             for tops, nums, dens in integrands:
                 args = (surface, tops, nums, dens, n1, n2, spec, points)
                 expected = _outcome(lambda: _per_point_product_sum(*args))
-                assert _outcome(lambda: engine._product_sum(*args)) == expected, (spec, tops)
+                got = _outcome(lambda: graded(*engine._product_sum(*args)))
+                assert got == expected, (spec, tops)
                 outcomes.add(expected if isinstance(expected, type) else "value")
     return outcomes
 
@@ -600,7 +614,7 @@ def test_product_blocks_where_every_top_factor_is_zero():
              if not all(map(Partition.contains, *point))]
     assert len(apart) == 2632
     args = (Q, engine._NESTED_LOCUS, [bundle], [], 5, 2, (13, 29), apart)
-    assert engine._product_sum(*args) == _per_point_product_sum(*args) == GradedPoly(7)
+    assert graded(*engine._product_sum(*args)) == _per_point_product_sum(*args) == GradedPoly(7)
 
 
 def _chart_blocks(surface, bundle, tup_a, tup_b):
@@ -665,7 +679,7 @@ def test_product_route_reads_tangents_only_where_the_top_factor_is_nonzero():
         engine._top_table(local, None)(one, one)
     apart = ((one, EMPTY, EMPTY), (EMPTY, one, EMPTY))
     args = (P2, engine._NESTED_LOCUS, [], [], 1, 1, spec)
-    assert engine._product_sum(*args, [apart]) == GradedPoly(2)
+    assert graded(*engine._product_sum(*args, [apart])) == GradedPoly(2)
 
 
 def test_product_route_reads_no_nested_tangent(monkeypatch):
@@ -738,6 +752,18 @@ def test_routes_share_no_kernel():
     for name in nested:
         shared = reach[name] & (product | {"power_sums", "newton_chern"})
         assert not shared, (name, shared)
+
+
+def test_kernels_name_no_graded_poly():
+    """Integer lists pass from the Chern kernels to the value: engine,
+    characters and fock name no GradedPoly, and characters imports nothing
+    from series."""
+    for module in (engine, characters, fock):
+        nodes = list(ast.walk(ast.parse(Path(module.__file__).read_text())))
+        named = {getattr(n, field, None) for n in nodes for field in ("id", "attr", "name")}
+        assert "GradedPoly" not in named, module.__name__
+        if module is characters:
+            assert "series" not in {n.module for n in nodes if isinstance(n, ast.ImportFrom)}
 
 
 def test_nestprod_ratio_line_catches_a_dens_sign_slip(monkeypatch):
@@ -936,10 +962,19 @@ def test_universality_fit_reproduces_generators():
 
 def test_disagreement_surfaces_as_error():
     with pytest.raises(SpecializationDisagreement):
-        engine._dual_spec_graded(lambda spec: {(0, 0): GradedPoly(0, [spec[0]])}, seed=0)
+        engine._dual_spec_graded(lambda spec: {(0, 0): ([spec[0]], 1)}, seed=0)
+
+
+def test_dual_spec_reads_the_top_entry_of_each_row():
+    """Each value is the top entry over the denominator; a nonzero entry
+    below the top degree is an error."""
+    values, specs = engine._dual_spec_graded(lambda spec: {(1, 0): ([0, 6], 4)}, seed=0)
+    assert values == {(1, 0): Fraction(3, 2)} and len(set(specs)) == 2
+    with pytest.raises(SpecializationDisagreement, match=r"degree 1 of \(2, 1\)"):
+        engine._dual_spec_graded(lambda spec: {(2, 1): ([0, 5, 7], 3)}, seed=0)
 
 
 def test_repeated_draws_count_as_redraws(monkeypatch):
     monkeypatch.setattr(engine, "draw_specialization", lambda rng: (Fraction(3), Fraction(5)))
     with pytest.raises(DegenerateSpecializationError, match="no fresh nondegenerate"):
-        engine._dual_spec_graded(lambda spec: {(0, 0): GradedPoly(0, [1])}, seed=0)
+        engine._dual_spec_graded(lambda spec: {(0, 0): ([1], 1)}, seed=0)

@@ -237,7 +237,7 @@ def _exchange_reference(lattice, m1, m2, cap):
     minus = gamma_operator(lattice, -1, m1, cap)
     for n in range(cap + 1):
         window = cap - n
-        binomial = linear_power(1, p, window).coeffs
+        binomial = linear_power(1, p, window)
         keep = lambda terms: {k: c for k, c in terms.items() if c and k[1] <= window}
         for state in fock.basis_states(lattice.rank, n):
             lhs, rhs = {}, {}

@@ -17,6 +17,12 @@ from nesthilb.series import (
 
 CAP = 5
 
+
+def graded(row, denom=1):
+    """The GradedPoly of an integer row over a denominator, as the kernels
+    return them: the reference arithmetic that the tests read them with."""
+    return GradedPoly(len(row) - 1, [Fraction(c, denom) for c in row])
+
 unit_series = st.dictionaries(
     st.tuples(st.integers(0, CAP), st.integers(0, CAP)),
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
@@ -146,30 +152,38 @@ def test_product_formula_rejects_constant_factor():
         product_formula([((0, 0), 1)], 3)
 
 
+@pytest.mark.parametrize("d1, d2, r", [(-1, 0, 2), (-2, 1, 3), (0, 0, 2)])
+def test_binomial_factor_rejects_nonpositive_total_degree(d1, d2, r):
+    """A monomial of total degree <= 0 has no truncated expansion: it is the
+    product formula's ValueError, not the zero series or a ZeroDivisionError."""
+    with pytest.raises(ValueError, match="factor monomials must have positive total degree"):
+        binomial_factor_series(d1, d2, r, 4)
+
+
 # ---------------------------------------------------------------------------
 # graded polynomials
 
 
 def test_linear_power_positive():
     g = linear_power(Fraction(3), 2, 4)
-    assert g.coeffs[:3] == [Fraction(1), Fraction(6), Fraction(9)]
-    assert g.coeffs[3] == 0
+    assert g[:3] == [Fraction(1), Fraction(6), Fraction(9)]
+    assert g[3] == 0
 
 
 def test_linear_power_integer_mult_stays_integral():
     # (1 + 3g)^-2 = sum C(-2, k) 3^k g^k = sum (-1)^k (k + 1) 3^k g^k
     g = linear_power(3, -2, 5)
-    assert g.coeffs == [(-1) ** k * (k + 1) * 3**k for k in range(6)]
-    assert all(type(c) is int for c in g.coeffs)
-    assert linear_power(-1, 3, 5).coeffs == [1, -3, 3, -1, 0, 0]
-    assert linear_power(1, Fraction(1, 2), 2).coeffs == [1, Fraction(1, 2), Fraction(-1, 8)]
+    assert g == [(-1) ** k * (k + 1) * 3**k for k in range(6)]
+    assert all(type(c) is int for c in g)
+    assert linear_power(-1, 3, 5) == [1, -3, 3, -1, 0, 0]
+    assert linear_power(1, Fraction(1, 2), 2) == [1, Fraction(1, 2), Fraction(-1, 8)]
 
 
 def test_linear_power_negative_is_inverse():
     w = Fraction(5, 2)
     a = linear_power(w, 3, 6)
     b = linear_power(w, -3, 6)
-    assert a * b == GradedPoly.one(6)
+    assert graded(a) * graded(b) == GradedPoly.one(6)
 
 
 def test_divide_roundtrip():
