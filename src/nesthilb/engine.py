@@ -17,11 +17,12 @@ Two independent routes compute the same invariants:
   blocks of cached chart factors, its tangents V(mu, mu) among them.
 
 Both routes read every chart block V(mu_a, mu_b) at the chart's own
-exponents and weights (`_local_weights`) and twist it by each bundle's
-local shift (`_local_twist`), but each assembles its own integrand: the
-nested route nets the twists of nums against those of dens in one
-character (`_net_integrand`) for its linear factors, and the product
-route adds the signed power sums of each twist.  Only Euler classes meet
+exponents and weights (`_local_weights`).  A bundle twists a block by
+the monomial of its local shift (`_local_twist`), so an integrand is the
+block times the chart's twist class, the sum of the nums monomials less
+that of the dens ones.  Each route builds its own twist class: the
+nested route (`_net_integrand`) for its linear factors, the product
+route (`_integrand_table`) for its power sums.  Only Euler classes meet
 the pole rule (`euler_factors`): the nested tangents, and the product
 route's Hilbert-scheme tangents and top factors.  A Chern class of an
 integrand is a polynomial in the weights, so a weight that the
@@ -40,7 +41,7 @@ the CLI labels and encodes them.
 from __future__ import annotations
 
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
 from itertools import compress
@@ -136,19 +137,14 @@ def _tangent_euler(local, pair):
     return euler_factors(virtual_tangent_character(pair), local)
 
 
-def _net_integrand(block, nums, dens):
-    """The nested route's integrand on one chart: the chart block twisted by
-    each local shift of nums, less the block twisted by each of dens,
-    netted in one dict, so that `chern_poly` reads one character whose
-    linear factors are prod c(nums) / prod c(dens).  The product route
-    assembles its own (`_integrand_table`)."""
-    net = {}
-    for shifts, sign in ((nums, 1), (dens, -1)):
-        for s1, s2 in shifts:
-            for (a, b), mult in block.terms.items():
-                weight = (a + s1, b + s2)
-                net[weight] = net.get(weight, 0) + sign * mult
-    return LaurentPoly(net)
+def _net_integrand(chart, nums, dens):
+    """The nested route's twist class on one chart: the monomials of the
+    local shifts of nums less those of dens, so that a block times it is
+    one character whose linear factors are prod c(nums) / prod c(dens).
+    The product route builds its own (`_integrand_table`)."""
+    twist = Counter(_local_twist(chart, m) for m in nums)
+    twist.subtract(_local_twist(chart, m) for m in dens)
+    return LaurentPoly(twist)
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +171,21 @@ def _chart_table(chart, nums, dens, keys, spec, cap):
     e(tangent) over the nested pairs of sizes (a, b) on this chart.
 
     Like `_tangent_euler` it reads each block at the chart's own exponents,
-    twisted by each bundle's local shift and netted by `_net_integrand`,
-    and `chern_poly` reads the net character at the chart's own weights.
-    Only the tangents can raise at a killed weight.
+    times the twist class of `_net_integrand`, and `chern_poly` reads the
+    product at the chart's own weights.  Only the tangents can raise at a
+    killed weight.
 
     With e = num / den, D_c = lcm(|num|) over the chart's pairs, and each
     pair adds its nonzero integer Chern coefficients times den * (D_c // num)
     into its key's row in place."""
     local = _local_weights(chart, spec)
-    nums = [_local_twist(chart, m) for m in nums]
-    dens = [_local_twist(chart, m) for m in dens]
+    twist = _net_integrand(chart, nums, dens)
     terms = []
     for key in keys:
         for pair in enumerate_nested_pairs(*key):
             num, den = _tangent_euler(local, pair)
-            net = _net_integrand(block_character(pair.outer, pair.inner), nums, dens)
-            terms.append((key, chern_poly(net, local, cap), num, den))
+            integrand = block_character(pair.outer, pair.inner) * twist
+            terms.append((key, chern_poly(integrand, local, cap), num, den))
     denom = lcm(*(abs(num) for _, _, num, _ in terms))
     table = {key: [0] * (cap + 1) for key in keys}
     for key, coeffs, num, den in terms:
@@ -242,20 +237,21 @@ def _nested_sums(surface, nums, dens, grid, spec):
 @lru_cache(maxsize=None)
 def _top_table(local, shift):
     """Top Chern classes of one chart's blocks at its own weights `local`,
-    twisted by the local shift `shift` (None: untwisted, and at (mu, mu) the
-    Hilbert-scheme tangent), as a cached function of (mu_a, mu_b).  A block
-    is a sum of weights, none subtracted (`block_character`), so each is the
-    product of its weights, 0 at a trivial weight, and a killed weight raises
-    (`euler_factors`): nothing can cancel it.  Unlike the integrand's Chern
-    classes, a top factor keeps the pole rule: a factor of 0 skips the
-    tangent read at its point, so a 0 caused by the draw could hide a killed
-    tangent weight.  A raising entry is not cached, so every read raises."""
+    times the monomial of the local shift `shift` (None: untwisted, and at
+    (mu, mu) the Hilbert-scheme tangent), as a cached function of
+    (mu_a, mu_b).  A block is a sum of weights, none subtracted
+    (`block_character`), so each is the product of its weights, 0 at a
+    trivial weight, and a killed weight raises (`euler_factors`): nothing
+    can cancel it.  Unlike the integrand's Chern classes, a top factor
+    keeps the pole rule: a factor of 0 skips the tangent read at its point,
+    so a 0 caused by the draw could hide a killed tangent weight.  A
+    raising entry is not cached, so every read raises."""
+    twist = LaurentPoly.one() if shift is None else LaurentPoly.monomial(*shift)
 
     @cache
     def top(mu_a, mu_b):
-        block = block_character(mu_a, mu_b)
         try:
-            return euler_factors(block if shift is None else block.shift(shift), local)[0]
+            return euler_factors(block_character(mu_a, mu_b) * twist, local)[0]
         except TrivialWeightError:
             return 0
 
@@ -265,16 +261,16 @@ def _top_table(local, shift):
 @lru_cache(maxsize=None)
 def _integrand_table(local, nums, dens, cap):
     """Signed power sums (`power_sums`) at the chart's own weights `local`
-    of one chart's integrand, as a cached function of (mu_a, mu_b).  Power
-    sums add, so the block twisted by each local shift of nums adds its own
-    and the block twisted by each of dens subtracts its own."""
+    of one chart's integrand, as a cached function of (mu_a, mu_b): the
+    block times the twist class, the monomials of the local shifts nums
+    less those of dens.  The nested route builds its own (`_net_integrand`)."""
+    counts = Counter(nums)
+    counts.subtract(dens)
+    twist = LaurentPoly(counts)
 
     @cache
     def integrand(mu_a, mu_b):
-        block = block_character(mu_a, mu_b)
-        twists = [power_sums(block.shift(s), local, cap) for s in nums]
-        twists += [power_sums(-block.shift(s), local, cap) for s in dens]
-        return list(map(sum, zip([0] * (cap + 1), *twists)))
+        return power_sums(block_character(mu_a, mu_b) * twist, local, cap)
 
     return integrand
 

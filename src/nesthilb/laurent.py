@@ -80,11 +80,6 @@ class LaurentPoly:
         """Invert both variables: t1 -> 1/t1, t2 -> 1/t2."""
         return LaurentPoly({(-a, -b): c for (a, b), c in self.terms.items()})
 
-    def shift(self, m):
-        """Multiply by the monomial t1^m[0] t2^m[1]."""
-        da, db = m
-        return LaurentPoly({(a + da, b + db): c for (a, b), c in self.terms.items()})
-
     def substitute(self, u, v):
         """Monomial substitution t1 -> t^u, t2 -> t^v for lattice vectors u, v."""
         terms = {}

@@ -56,7 +56,9 @@ def _fiber_character(surface, bundle, tup_a, tup_b):
     total = LaurentPoly.zero()
     for c in surface.charts:
         block = engine._global_block(c.u, c.v, tup_a[c.index], tup_b[c.index])
-        total = total + (block if bundle is None else block.shift(global_weight(bundle, c)))
+        if bundle is not None:
+            block = block * LaurentPoly.monomial(*global_weight(bundle, c))
+        total = total + block
     return total
 
 
@@ -252,9 +254,9 @@ def _fraction_chart_table(chart, nums, dens, keys, spec, cap):
             block = engine._global_block(chart.u, chart.v, pair.outer, pair.inner)
             integrand = LaurentPoly.zero()
             for m in nums:
-                integrand = integrand + block.shift(global_weight(m, chart))
+                integrand = integrand + block * LaurentPoly.monomial(*global_weight(m, chart))
             for m in dens:
-                integrand = integrand - block.shift(global_weight(m, chart))
+                integrand = integrand - block * LaurentPoly.monomial(*global_weight(m, chart))
             total = total + graded(chern_poly(integrand, spec, cap)) * (1 / e)
         table[a, b] = total
     return table
@@ -274,9 +276,9 @@ def _global_chart_table(chart, nums, dens, keys, spec, cap):
             block = engine._global_block(chart.u, chart.v, pair.outer, pair.inner)
             integrand = LaurentPoly.zero()
             for m in nums:
-                integrand = integrand + block.shift(global_weight(m, chart))
+                integrand = integrand + block * LaurentPoly.monomial(*global_weight(m, chart))
             for m in dens:
-                integrand = integrand - block.shift(global_weight(m, chart))
+                integrand = integrand - block * LaurentPoly.monomial(*global_weight(m, chart))
             terms.append((key, newton_chern_at(power_sums(integrand, spec, cap)), num, den))
     denom = lcm(*(abs(num) for _, _, num, _ in terms))
     table = {key: [0] * (cap + 1) for key in keys}
@@ -307,7 +309,8 @@ def test_chart_tables_match_global_assembly(name):
     k = len(surface.charts)
     h = surface.line_bundle([1] + [0] * (k - 1))
     d = surface.line_bundle([0, 2] + [0] * (k - 2))
-    integrands = [([h], []), ([h, surface.canonical_bundle()], [d])]
+    # [h, h] is a twist class coefficient of 2
+    integrands = [([h], []), ([h, surface.canonical_bundle()], [d]), ([h, h], [d])]
     _assert_chart_tables_match(surface, integrands, ((13, 29), (1, 1), (1, -3), (2, 1)), 4)
 
 
@@ -348,7 +351,7 @@ def test_chart_table_nets_killed_weights_over_nums_and_dens():
     assert any(
         (a, b) != (0, 0) and a * x + b * y == 0
         for key in keys for pair in enumerate_nested_pairs(*key)
-        for a, b in block_character(pair.outer, pair.inner).shift(shift).terms
+        for a, b in (block_character(pair.outer, pair.inner) * LaurentPoly.monomial(*shift)).terms
     )
     assert engine._chart_table(chart, [h], [], keys, spec, 2) == (
         _global_chart_table(chart, [h], [], keys, spec, 2))
@@ -470,8 +473,10 @@ def test_product_kernel_matches_assembled_characters(name):
     d = surface.line_bundle([0, 2] + [0] * (k - 2))
     integrands = [
         (engine._NESTED_LOCUS, [h], []),
-        # the h blocks cancel: the product route subtracts their power sums
+        # the h monomials cancel in the product route's twist class
         (engine._NESTED_LOCUS, [h, surface.canonical_bundle()], [h]),
+        # a repeated bundle: a twist class coefficient of 2
+        (engine._NESTED_LOCUS, [h, h], [d]),
         (((h, False), (d, True)), [], []),
     ]
     outcomes, killed = _assert_product_kernel_matches(
@@ -623,7 +628,9 @@ def _chart_blocks(surface, bundle, tup_a, tup_b):
     blocks = []
     for c in surface.charts:
         block = engine._global_block(c.u, c.v, tup_a[c.index], tup_b[c.index])
-        blocks.append(block if bundle is None else block.shift(global_weight(bundle, c)))
+        if bundle is not None:
+            block = block * LaurentPoly.monomial(*global_weight(bundle, c))
+        blocks.append(block)
     return blocks
 
 
@@ -773,6 +780,17 @@ def test_nestprod_ratio_line_catches_a_dens_sign_slip(monkeypatch):
     net = engine._net_integrand
     monkeypatch.setattr(engine, "_net_integrand",
                         lambda block, nums, dens: net(block, [*nums, *dens], []))
+    failed = [check.label for check in verify.suite_nestprod(cap=1) if not check.passed]
+    assert failed == ["ratio [O(1), O(1)]/[O] route agreement on p2 up to total degree 1"]
+
+
+def test_nestprod_ratio_line_catches_a_product_dens_sign_slip(monkeypatch):
+    """Counting dens with the sign +1 in the product route's twist class
+    fails exactly the ratio line of nestprod: the nested route builds its
+    own, and no other line reads dens."""
+    table = engine._integrand_table
+    monkeypatch.setattr(engine, "_integrand_table",
+                        lambda local, nums, dens, cap: table(local, nums + dens, (), cap))
     failed = [check.label for check in verify.suite_nestprod(cap=1) if not check.passed]
     assert failed == ["ratio [O(1), O(1)]/[O] route agreement on p2 up to total degree 1"]
 
